@@ -1,8 +1,10 @@
 // Shared helpers for the figure/table reproduction binaries: a minimal
 // --flag parser, dataset construction, and the standard experiment stack
-// (prior + hierarchical index + MSM / PL baselines).
+// (prior + hierarchical index + MSM / PL baselines); and for the service
+// benches: the Austin study box, its query stream, a percentile, and a
+// --threads list parser.
 //
-// Every binary accepts:
+// Every figure/table binary accepts:
 //   --dataset gowalla|yelp|both    which synthetic preset(s) to use
 //   --requests N                   sanitization requests per data point
 //   --csv PATH                     also write the table as CSV
@@ -11,6 +13,7 @@
 #ifndef GEOPRIV_BENCH_BENCH_UTIL_H_
 #define GEOPRIV_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "base/check.h"
+#include "core/location_sanitizer.h"
 #include "core/msm.h"
 #include "data/synthetic.h"
 #include "eval/evaluation.h"
@@ -130,6 +134,49 @@ inline int EffectiveGranularity(int g, int height) {
   int eff = 1;
   for (int i = 0; i < height; ++i) eff *= g;
   return eff;
+}
+
+// The paper's Austin study region as a lat/lon box (matches
+// data::GowallaAustinLike()).
+inline constexpr double kAustinMinLat = 30.1927, kAustinMinLon = -97.8698;
+inline constexpr double kAustinMaxLat = 30.3723, kAustinMaxLon = -97.6618;
+
+// Deterministic query stream covering the whole Austin box (not just one
+// hotspot) so the index walk touches many nodes.
+inline std::vector<core::LatLon> MakeQueries(int n) {
+  std::vector<core::LatLon> queries;
+  queries.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    const double u = (i % 97) / 96.0;
+    const double v = (i % 83) / 82.0;
+    queries.push_back({kAustinMinLat + u * (kAustinMaxLat - kAustinMinLat),
+                       kAustinMinLon + v * (kAustinMaxLon - kAustinMinLon)});
+  }
+  return queries;
+}
+
+// Rounded-rank percentile of an ascending vector (q in [0, 1]); 0 when
+// empty.
+inline double Percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const size_t idx = static_cast<size_t>(q * (sorted.size() - 1) + 0.5);
+  return sorted[std::min(idx, sorted.size() - 1)];
+}
+
+// "1,2,4,8" -> {1, 2, 4, 8}; aborts on an empty list.
+inline std::vector<int> ParseThreadList(const std::string& spec) {
+  std::vector<int> out;
+  std::string token;
+  for (char c : spec + ",") {
+    if (c == ',') {
+      if (!token.empty()) out.push_back(std::atoi(token.c_str()));
+      token.clear();
+    } else {
+      token.push_back(c);
+    }
+  }
+  GEOPRIV_CHECK_MSG(!out.empty(), "empty --threads list");
+  return out;
 }
 
 inline void FinishTable(const Flags& flags, eval::Table& table) {

@@ -32,30 +32,6 @@
 namespace geopriv::bench {
 namespace {
 
-// The paper's Austin study region (matches data::GowallaAustinLike()).
-constexpr double kMinLat = 30.1927, kMinLon = -97.8698;
-constexpr double kMaxLat = 30.3723, kMaxLon = -97.6618;
-
-// Deterministic query stream covering the whole region so the index walk
-// touches many nodes (and a bounded cache actually has to evict).
-std::vector<core::LatLon> MakeQueries(int n) {
-  std::vector<core::LatLon> queries;
-  queries.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    const double u = (i % 97) / 96.0;
-    const double v = (i % 83) / 82.0;
-    queries.push_back({kMinLat + u * (kMaxLat - kMinLat),
-                       kMinLon + v * (kMaxLon - kMinLon)});
-  }
-  return queries;
-}
-
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t idx = static_cast<size_t>(q * (sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 struct BatchMeasurement {
   double qps = 0.0;
   double p50_ms = 0.0;
@@ -140,10 +116,10 @@ int Main(int argc, char** argv) {
   const std::string json_path = flags.GetString("json", "BENCH_cache.json");
 
   service::RegionConfig region;
-  region.min_lat = kMinLat;
-  region.min_lon = kMinLon;
-  region.max_lat = kMaxLat;
-  region.max_lon = kMaxLon;
+  region.min_lat = kAustinMinLat;
+  region.min_lon = kAustinMinLon;
+  region.max_lat = kAustinMaxLat;
+  region.max_lon = kAustinMaxLon;
   region.eps = eps;
   region.granularity = g;
   region.prior_granularity = 32;

@@ -53,43 +53,6 @@
 namespace geopriv::bench {
 namespace {
 
-// The paper's Austin study region (matches data::GowallaAustinLike()).
-constexpr double kMinLat = 30.1927, kMinLon = -97.8698;
-constexpr double kMaxLat = 30.3723, kMaxLon = -97.6618;
-
-std::vector<int> ParseThreadList(const std::string& spec) {
-  std::vector<int> out;
-  std::string token;
-  for (char c : spec + ",") {
-    if (c == ',') {
-      if (!token.empty()) out.push_back(std::atoi(token.c_str()));
-      token.clear();
-    } else {
-      token.push_back(c);
-    }
-  }
-  GEOPRIV_CHECK_MSG(!out.empty(), "empty --threads list");
-  return out;
-}
-
-std::vector<core::LatLon> MakeQueries(int n) {
-  std::vector<core::LatLon> queries;
-  queries.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    const double u = (i % 97) / 96.0;
-    const double v = (i % 83) / 82.0;
-    queries.push_back({kMinLat + u * (kMaxLat - kMinLat),
-                       kMinLon + v * (kMaxLon - kMinLon)});
-  }
-  return queries;
-}
-
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t idx = static_cast<size_t>(q * (sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 struct WarmPoint {
   int threads = 0;
   double qps = 0.0;
@@ -172,11 +135,12 @@ void MeasureObsPoints(const service::RegionConfig& region,
 }
 
 // Batched vs sequential walks on one warmed mechanism, same seed both
-// ways — the per-op delta is the per-level cache-lookup overhead the
-// batch memo (and above it, the serving plan) removes.
+// ways — the per-op delta is the per-walk plan load the batch's single
+// plan pin saves.
 BatchWalkResult RunBatchWalk(double eps, int g, int points) {
   auto sanitizer = core::LocationSanitizer::Builder()
-                       .SetRegionLatLon(kMinLat, kMinLon, kMaxLat, kMaxLon)
+                       .SetRegionLatLon(kAustinMinLat, kAustinMinLon,
+                                        kAustinMaxLat, kAustinMaxLon)
                        .SetEpsilon(eps)
                        .SetGranularity(g)
                        .SetPriorGranularity(32)
@@ -238,10 +202,10 @@ int Main(int argc, char** argv) {
   const unsigned hc = std::thread::hardware_concurrency();
 
   service::RegionConfig region;
-  region.min_lat = kMinLat;
-  region.min_lon = kMinLon;
-  region.max_lat = kMaxLat;
-  region.max_lon = kMaxLon;
+  region.min_lat = kAustinMinLat;
+  region.min_lon = kAustinMinLon;
+  region.max_lat = kAustinMaxLat;
+  region.max_lon = kAustinMaxLon;
   region.eps = eps;
   region.granularity = g;
   region.prior_granularity = 32;

@@ -1,9 +1,8 @@
-// Little-endian encode/decode helpers shared by the on-disk formats (the
-// v1 ClientBundle and the v2 RegionBundle). Both formats document a
-// little-endian byte contract; these helpers make that contract explicit
-// instead of relying on the host's native order. On little-endian hosts
-// (every platform we build on today) the encode/decode compile down to
-// plain loads/stores.
+// Little-endian encode/decode helpers for the on-disk region bundle
+// (src/bundle/). The format documents a little-endian byte contract;
+// these helpers make that contract explicit instead of relying on the
+// host's native order. On little-endian hosts (every platform we build on
+// today) the encode/decode compile down to plain loads/stores.
 
 #ifndef GEOPRIV_BASE_ENDIAN_H_
 #define GEOPRIV_BASE_ENDIAN_H_

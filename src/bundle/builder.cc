@@ -28,16 +28,9 @@ void AppendF64Span(std::string& out, std::span<const double> v) {
 void AppendU64Span(std::string& out, std::span<const size_t> v) {
   out.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
 }
-void AppendI64Span(std::string& out, std::span<const int64_t> v) {
-  out.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
-}
-void AppendI32Span(std::string& out, std::span<const int32_t> v) {
-  out.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
-}
 
 std::string ConfigSection(const RegionSpec& spec, const geo::BBox& domain,
-                          uint32_t height, uint64_t node_count,
-                          uint64_t plan_node_count) {
+                          uint32_t height, uint64_t node_count) {
   std::string out;
   for (double f : {spec.min_lat, spec.min_lon, spec.max_lat, spec.max_lon,
                    spec.eps, spec.rho, domain.min_x, domain.min_y,
@@ -49,7 +42,7 @@ std::string ConfigSection(const RegionSpec& spec, const geo::BBox& domain,
   base::AppendLE32(out, static_cast<uint32_t>(spec.metric));
   base::AppendLE32(out, height);
   base::AppendLE64(out, node_count);
-  base::AppendLE64(out, plan_node_count);
+  base::AppendLE64(out, 0);  // reserved
   return out;
 }
 
@@ -144,25 +137,6 @@ std::string NodesSection(const std::vector<WarmNode>& warm) {
   return out;
 }
 
-std::string PlanSection(const core::MultiStepMechanism::PlanSnapshot& plan) {
-  std::string out;
-  base::AppendLE64(out, plan.node_id.size());
-  base::AppendLE64(out, plan.child_id.size());
-  AppendI64Span(out, plan.node_id);
-  AppendI64Span(out, plan.child_id);
-  for (const std::vector<double>* arr :
-       {&plan.min_x, &plan.min_y, &plan.max_x, &plan.max_y, &plan.center_x,
-        &plan.center_y}) {
-    AppendF64Span(out, *arr);
-  }
-  AppendI32Span(out, plan.child_begin);
-  AppendI32Span(out, plan.child_count);
-  AppendI32Span(out, plan.child_plan);
-  out.append(reinterpret_cast<const char*>(plan.child_is_leaf.data()),
-             plan.child_is_leaf.size());
-  return out;
-}
-
 Status ValidateSpec(const RegionSpec& spec) {
   if (!(spec.max_lat > spec.min_lat) || !(spec.max_lon > spec.min_lon)) {
     return Status::InvalidArgument("region lat/lon box must have area");
@@ -187,21 +161,15 @@ StatusOr<BuildBundleResult> WriteRegionBundle(
   const core::MultiStepMechanism& msm = sanitizer.mechanism();
 
   const std::vector<WarmNode> warm = CollectWarmNodes(msm);
-  const core::MultiStepMechanism::PlanSnapshot plan =
-      msm.SnapshotServingPlan();
 
   BundleImageWriter writer;
-  writer.AddSection(kConfig,
-                    ConfigSection(spec, sanitizer.domain_km(),
-                                  static_cast<uint32_t>(msm.height()),
-                                  warm.size(), plan.node_id.size()));
+  writer.AddSection(kConfig, ConfigSection(spec, sanitizer.domain_km(),
+                                           static_cast<uint32_t>(msm.height()),
+                                           warm.size()));
   writer.AddSection(kBudgets, BudgetsSection(msm.budget().per_level));
   writer.AddSection(kPrior, PriorSection(msm.prior()));
   if (!warm.empty()) {
     writer.AddSection(kNodes, NodesSection(warm));
-  }
-  if (!plan.node_id.empty()) {
-    writer.AddSection(kPlan, PlanSection(plan));
   }
   const std::string image = writer.Finish();
   GEOPRIV_RETURN_IF_ERROR(base::WriteFileAtomic(path, image));
@@ -209,7 +177,6 @@ StatusOr<BuildBundleResult> WriteRegionBundle(
   const core::MsmStats stats = msm.stats();
   BuildBundleResult result;
   result.nodes = warm.size();
-  result.plan_nodes = plan.node_id.size();
   result.bytes = image.size();
   result.build_seconds = stopwatch.ElapsedSeconds();
   result.lp_seconds = stats.lp_seconds;

@@ -1,10 +1,9 @@
 // Build tier of the build/serve split: constructs a region (prior, index,
 // budget split), pre-solves its per-node LPs in parallel, and serializes
-// everything — including the solved mechanisms and the serving-plan
-// layout — into a v2 region bundle. A serving process then mmaps the file
-// and registers the region in milliseconds with zero LP solves
-// (loader.h), instead of re-paying minutes of solver time on every cold
-// start.
+// everything — including the solved mechanisms — into a v2 region
+// bundle. A serving process then mmaps the file and registers the region
+// in milliseconds with zero LP solves (loader.h), instead of re-paying
+// minutes of solver time on every cold start.
 
 #ifndef GEOPRIV_BUNDLE_BUILDER_H_
 #define GEOPRIV_BUNDLE_BUILDER_H_
@@ -50,9 +49,8 @@ struct BuildBundleOptions {
 };
 
 struct BuildBundleResult {
-  uint64_t nodes = 0;       // solved mechanisms serialized
-  uint64_t plan_nodes = 0;  // serving-plan nodes serialized
-  uint64_t bytes = 0;       // final file size
+  uint64_t nodes = 0;  // solved mechanisms serialized
+  uint64_t bytes = 0;  // final file size
   double build_seconds = 0.0;  // total wall clock, solves included
   double lp_seconds = 0.0;     // solver share
   int64_t lp_solves = 0;
@@ -68,7 +66,10 @@ StatusOr<BuildBundleResult> BuildRegionBundle(const RegionSpec& spec,
 // right now) to `path`. `spec` must be the configuration the sanitizer
 // was built from — the lat/lon box and parameters go into the bundle's
 // config section verbatim; the domain, budgets, and prior are taken from
-// the sanitizer itself.
+// the sanitizer itself. A sanitizer that has solved nothing yields the
+// paper's offline client bundle (Section 3.1): config, budgets, and prior
+// with no node section, which LoadRegion serves by solving each node on
+// first touch.
 StatusOr<BuildBundleResult> WriteRegionBundle(
     const core::LocationSanitizer& sanitizer, const RegionSpec& spec,
     const std::string& path);

@@ -1,10 +1,12 @@
-// On-disk layout of the v2 region bundle ("GPB2") — the build/serve
-// split's hand-off artifact. A build-tier process solves a region's
-// per-node LPs once, serializes the solved mechanisms (dense K, alias
-// tables), the annotated prior, the budget split, and the serving-plan
-// layout into one sectioned file; a serving process mmaps it read-only
-// and registers the region with zero LP solves and zero table copies
-// (the mechanism matrices are spans into the mapping).
+// On-disk layout of the region bundle ("GPB2"), the one on-disk format.
+// A build-tier process solves a region's per-node LPs once and
+// serializes the solved mechanisms (dense K, alias tables), the
+// annotated prior, and the budget split into one sectioned file; a
+// serving process mmaps it read-only and registers the region with zero
+// LP solves and zero table copies (the mechanism matrices are spans into
+// the mapping). The paper's offline client bundle (Section 3.1) is the
+// same file without a kNodes section: region, index parameters, budget
+// split, and prior, with every node LP solved lazily on first touch.
 //
 //   header (64 bytes)
 //     magic "GPB2" | endian sentinel u32 (0x01020304) | version u32 (2) |
@@ -28,11 +30,8 @@
 //               f64 locations[2n] (x,y interleaved) | f64 prior[n] |
 //               f64 k[n*n] | f64 alias_prob[n*n] | u64 alias_alias[n*n] |
 //               f64 alias_normalized[n*n]
-//   kPlan     u64 plan_node_count P | u64 child_slot_count S |
-//             i64 node_id[P] | i64 child_id[S] |
-//             f64 min_x/min_y/max_x/max_y/center_x/center_y (S each) |
-//             i32 child_begin[P] | i32 child_count[P] |
-//             i32 child_plan[S] | u8 child_is_leaf[S]
+//   id 5 is reserved: older builders wrote a serving-plan image there,
+//   which readers skip (the loader rebuilds the plan from the cache).
 //
 // Every multi-byte field is little-endian. The zero-copy read path
 // reinterprets mapped bytes as host arrays, so it additionally requires a
@@ -50,19 +49,18 @@
 namespace geopriv::bundle {
 
 inline constexpr char kMagicV2[4] = {'G', 'P', 'B', '2'};
-inline constexpr char kMagicV1[4] = {'G', 'P', 'B', '1'};
 inline constexpr uint32_t kVersion = 2;
 inline constexpr size_t kHeaderBytes = 64;
 inline constexpr size_t kTocEntryBytes = 32;
 inline constexpr size_t kSectionAlign = 64;
 
-// Section ids. Values are part of the format; never renumber.
+// Section ids. Values are part of the format; never renumber or reuse
+// (5 is reserved, see the layout above).
 enum SectionId : uint32_t {
   kConfig = 1,
   kBudgets = 2,
   kPrior = 3,
   kNodes = 4,
-  kPlan = 5,
 };
 
 // Decoded TOC entry.
@@ -74,7 +72,9 @@ struct SectionEntry {
 };
 
 // Decoded kConfig section. Field order in the file: the ten f64s, then
-// the four u32s, then the two u64s (112 bytes total).
+// the four u32s, then node_count, then a reserved u64 (112 bytes total).
+// The reserved u64 is written as 0; older builders stored their plan
+// node count there, and readers ignore it.
 struct ConfigImage {
   double min_lat = 0.0, min_lon = 0.0, max_lat = 0.0, max_lon = 0.0;
   double eps = 0.0;
@@ -89,8 +89,7 @@ struct ConfigImage {
   uint32_t prior_granularity = 0;
   uint32_t metric = 0;  // geo::UtilityMetric enumerator value
   uint32_t height = 0;
-  uint64_t node_count = 0;       // solved mechanisms in kNodes
-  uint64_t plan_node_count = 0;  // plan nodes in kPlan (0 = no plan)
+  uint64_t node_count = 0;  // solved mechanisms in kNodes
 };
 inline constexpr size_t kConfigImageBytes = 112;
 
@@ -110,7 +109,7 @@ inline constexpr uint64_t NodeBlobBytes(uint64_t n) {
   return kNodeBlobHeaderBytes + 8 * (2 * n + n) + 4 * 8 * n * n;
 }
 
-// FNV-1a, the same function the v1 client bundle and the TOC use.
+// FNV-1a, for the header and section checksums.
 inline uint64_t Fnv1a(const void* data, size_t size,
                       uint64_t seed = 14695981039346656037ull) {
   const auto* bytes = static_cast<const unsigned char*>(data);

@@ -1,6 +1,7 @@
 #include "bundle/loader.h"
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,6 +48,7 @@ StatusOr<LoadedRegion> LoadRegion(const RegionBundleView& view,
       spatial::HierarchicalGrid::Create(
           domain, static_cast<int>(config.granularity),
           static_cast<int>(config.height)));
+  auto index = std::make_shared<spatial::HierarchicalGrid>(std::move(grid));
 
   core::MsmOptions msm_options;
   // The stored per-level budgets are the allocation itself; kCustom
@@ -67,8 +69,7 @@ StatusOr<LoadedRegion> LoadRegion(const RegionBundleView& view,
   GEOPRIV_ASSIGN_OR_RETURN(
       core::MultiStepMechanism msm,
       core::MultiStepMechanism::Create(
-          config.eps,
-          std::make_shared<spatial::HierarchicalGrid>(std::move(grid)),
+          config.eps, index,
           std::make_shared<prior::Prior>(std::move(prior)), msm_options));
   auto mechanism =
       std::make_unique<core::MultiStepMechanism>(std::move(msm));
@@ -80,6 +81,14 @@ StatusOr<LoadedRegion> LoadRegion(const RegionBundleView& view,
   for (size_t i = 0; i < view.node_count(); ++i) {
     GEOPRIV_ASSIGN_OR_RETURN(const RegionBundleView::NodeView node,
                              view.node(i));
+    // A mechanism published under the wrong node would be served with
+    // another level's budget and another cell's candidates.
+    if (node.node < 0 || node.node >= index->num_nodes() ||
+        index->LevelOf(node.node) + 1 != node.level) {
+      return Status::InvalidArgument(
+          "'" + view.path() + "' stores node " + std::to_string(node.node) +
+          " at the wrong index level");
+    }
     mechanisms::SolvedMechanismTables tables;
     tables.eps = node.eps_level;
     tables.metric = static_cast<geo::UtilityMetric>(config.metric);

@@ -5,7 +5,8 @@
 // and published into the node cache, then the serving plan is rebuilt
 // over the published set. A node the bundle does not carry is solved
 // deterministically on first touch, exactly as a scratch-built region
-// would.
+// would — so a client bundle (no node section) loads as a region whose
+// every node is cold.
 
 #ifndef GEOPRIV_BUNDLE_LOADER_H_
 #define GEOPRIV_BUNDLE_LOADER_H_

@@ -1,5 +1,6 @@
 #include "bundle/region_bundle.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "base/endian.h"
@@ -24,6 +25,13 @@ double ReadF64(const unsigned char* p) {
 template <typename T>
 std::span<const T> TypedSpan(const unsigned char* p, size_t count) {
   return {reinterpret_cast<const T*>(p), count};
+}
+
+// Tolerance for stored budgets against the eps they split: budgets must
+// sum to eps (sequential composition), and each node's eps to its level
+// budget.
+bool BudgetMatches(double got, double want) {
+  return std::abs(got - want) <= 1e-6 * (1.0 + want);
 }
 
 }  // namespace
@@ -73,8 +81,7 @@ std::string BundleImageWriter::Finish() {
   return image;
 }
 
-StatusOr<RegionBundleView> RegionBundleView::Open(const std::string& path,
-                                                 bool verify_checksums) {
+StatusOr<RegionBundleView> RegionBundleView::Open(const std::string& path) {
   if (!base::kLittleEndianHost || sizeof(size_t) != 8) {
     return Status::Unimplemented(
         "v2 region bundles are served zero-copy and require a "
@@ -82,23 +89,17 @@ StatusOr<RegionBundleView> RegionBundleView::Open(const std::string& path,
   }
   RegionBundleView view;
   GEOPRIV_ASSIGN_OR_RETURN(view.backing_, MappedFile::Open(path));
-  GEOPRIV_RETURN_IF_ERROR(view.Parse(verify_checksums));
+  GEOPRIV_RETURN_IF_ERROR(view.Parse());
   return view;
 }
 
-Status RegionBundleView::Parse(bool verify_checksums) {
+Status RegionBundleView::Parse() {
   const unsigned char* data = backing_->data();
   const size_t size = backing_->size();
   const std::string& path = backing_->path();
   if (size < kHeaderBytes) {
     return Status::InvalidArgument("'" + path +
                                    "' is too small to be a region bundle");
-  }
-  if (std::memcmp(data, kMagicV1, sizeof(kMagicV1)) == 0) {
-    return Status::InvalidArgument(
-        "'" + path +
-        "' is a v1 client bundle (GPB1); load it with "
-        "core::LoadClientBundle, not bundle::RegionBundleView");
   }
   if (std::memcmp(data, kMagicV2, sizeof(kMagicV2)) != 0) {
     return Status::InvalidArgument("'" + path + "' is not a region bundle");
@@ -154,30 +155,18 @@ Status RegionBundleView::Parse(bool verify_checksums) {
           "'" + path + "' section " + std::to_string(entry.id) +
           " is out of bounds or misaligned");
     }
+    if (Fnv1a(data + entry.offset, entry.size) != entry.checksum) {
+      return Status::InvalidArgument(
+          "'" + path + "' section " + std::to_string(entry.id) +
+          " is corrupt (checksum mismatch)");
+    }
     sections_.push_back(entry);
-  }
-  if (verify_checksums) {
-    GEOPRIV_RETURN_IF_ERROR(VerifyChecksums());
   }
 
   GEOPRIV_RETURN_IF_ERROR(ParseConfig());
   GEOPRIV_RETURN_IF_ERROR(ParseBudgets());
   GEOPRIV_RETURN_IF_ERROR(ParsePrior());
-  GEOPRIV_RETURN_IF_ERROR(ParseNodes());
-  GEOPRIV_RETURN_IF_ERROR(ParsePlan());
-  return Status::OK();
-}
-
-Status RegionBundleView::VerifyChecksums() const {
-  for (const SectionEntry& entry : sections_) {
-    const uint64_t got = Fnv1a(backing_->data() + entry.offset, entry.size);
-    if (got != entry.checksum) {
-      return Status::InvalidArgument(
-          "'" + backing_->path() + "' section " + std::to_string(entry.id) +
-          " is corrupt (checksum mismatch)");
-    }
-  }
-  return Status::OK();
+  return ParseNodes();
 }
 
 const SectionEntry* RegionBundleView::FindSection(uint32_t id) const {
@@ -209,7 +198,10 @@ Status RegionBundleView::ParseConfig() {
   config_.metric = ReadU32(p + 8);
   config_.height = ReadU32(p + 12);
   config_.node_count = ReadU64(p + 16);
-  config_.plan_node_count = ReadU64(p + 24);
+  if (!std::isfinite(config_.eps) || !(config_.eps > 0.0)) {
+    return Status::InvalidArgument("'" + backing_->path() +
+                                   "' config eps is not a positive number");
+  }
   if (config_.granularity < 2 || config_.granularity > 64 ||
       config_.height < 1 || config_.height > 20 ||
       config_.prior_granularity < 1 || config_.prior_granularity > 4096 ||
@@ -234,6 +226,19 @@ Status RegionBundleView::ParseBudgets() {
         "' budgets section disagrees with config height");
   }
   budgets_ = TypedSpan<double>(p + 8, config_.height);
+  double total = 0.0;
+  for (const double b : budgets_) {
+    if (!std::isfinite(b) || !(b > 0.0)) {
+      return Status::InvalidArgument(
+          "'" + backing_->path() +
+          "' has a level budget that is not a positive number");
+    }
+    total += b;
+  }
+  if (!BudgetMatches(total, config_.eps)) {
+    return Status::InvalidArgument("'" + backing_->path() +
+                                   "' level budgets do not sum to eps");
+  }
   return Status::OK();
 }
 
@@ -278,6 +283,7 @@ Status RegionBundleView::ParseNodes() {
   }
   nodes_base_ = p;
   nodes_size_ = entry->size;
+  const uint32_t fanout = config_.granularity * config_.granularity;
   nodes_.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     const unsigned char* e = p + 8 + i * kNodeDirEntryBytes;
@@ -287,7 +293,7 @@ Status RegionBundleView::ParseNodes() {
     node.n = ReadU32(e + 12);
     node.offset = ReadU64(e + 16);
     node.size = ReadU64(e + 24);
-    if (node.n == 0 || node.level < 1 || node.level > config_.height ||
+    if (node.n != fanout || node.level < 1 || node.level > config_.height ||
         node.offset % 8 != 0 || node.offset > nodes_size_ ||
         node.size > nodes_size_ - node.offset ||
         node.size != NodeBlobBytes(node.n)) {
@@ -331,56 +337,19 @@ StatusOr<RegionBundleView::NodeView> RegionBundleView::node(size_t i) const {
   view.alias_alias = TypedSpan<size_t>(c, nn);
   c += 8 * nn;
   view.alias_normalized = TypedSpan<double>(c, nn);
-  return view;
-}
-
-Status RegionBundleView::ParsePlan() {
-  const SectionEntry* entry = FindSection(kPlan);
-  if (entry == nullptr) {
-    if (config_.plan_node_count != 0) {
-      return Status::InvalidArgument(
-          "'" + backing_->path() +
-          "' config promises a serving plan but has no plan section");
-    }
-    return Status::OK();
-  }
-  const unsigned char* p = backing_->data() + entry->offset;
-  if (entry->size < 16) {
-    return Status::InvalidArgument("'" + backing_->path() +
-                                   "' plan section is truncated");
-  }
-  const uint64_t num_plan = ReadU64(p);
-  const uint64_t num_slots = ReadU64(p + 8);
-  if (num_plan != config_.plan_node_count) {
+  if (!BudgetMatches(view.eps_level, budgets_[entry.level - 1])) {
     return Status::InvalidArgument(
-        "'" + backing_->path() +
-        "' plan section disagrees with config plan node count");
+        "'" + backing_->path() + "' node blob " + std::to_string(i) +
+        " was solved at an eps that is not its level budget");
   }
-  const uint64_t expected =
-      16 + 16 * num_plan + 61 * num_slots;  // see format.h layout
-  if (entry->size != expected) {
-    return Status::InvalidArgument("'" + backing_->path() +
-                                   "' plan section has the wrong size");
+  for (const size_t alias : view.alias_alias) {
+    if (alias >= n) {
+      return Status::InvalidArgument(
+          "'" + backing_->path() + "' node blob " + std::to_string(i) +
+          " has an alias index out of range");
+    }
   }
-  const unsigned char* c = p + 16;
-  plan_.node_id = TypedSpan<int64_t>(c, num_plan);
-  c += 8 * num_plan;
-  plan_.child_id = TypedSpan<int64_t>(c, num_slots);
-  c += 8 * num_slots;
-  for (std::span<const double>* arr :
-       {&plan_.min_x, &plan_.min_y, &plan_.max_x, &plan_.max_y,
-        &plan_.center_x, &plan_.center_y}) {
-    *arr = TypedSpan<double>(c, num_slots);
-    c += 8 * num_slots;
-  }
-  plan_.child_begin = TypedSpan<int32_t>(c, num_plan);
-  c += 4 * num_plan;
-  plan_.child_count = TypedSpan<int32_t>(c, num_plan);
-  c += 4 * num_plan;
-  plan_.child_plan = TypedSpan<int32_t>(c, num_slots);
-  c += 4 * num_slots;
-  plan_.child_is_leaf = TypedSpan<uint8_t>(c, num_slots);
-  return Status::OK();
+  return view;
 }
 
 }  // namespace geopriv::bundle

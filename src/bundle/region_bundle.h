@@ -43,14 +43,13 @@ class BundleImageWriter {
 // handed to a mechanism) is alive.
 class RegionBundleView {
  public:
-  // Maps and validates `path`: magic (a v1 "GPB1" file is rejected with a
-  // status pointing at core::LoadClientBundle), endian sentinel, version,
-  // header checksum, file size, TOC bounds/alignment, per-section
-  // checksums (unless `verify_checksums` is false), config decode, and
-  // cross-section size consistency. Requires a little-endian LP64 host —
-  // the zero-copy node tables are reinterpreted in place.
-  static StatusOr<RegionBundleView> Open(const std::string& path,
-                                         bool verify_checksums = true);
+  // Maps and validates `path`: magic, endian sentinel, version, header
+  // checksum, file size, TOC bounds/alignment, every section checksum,
+  // config decode (eps finite and positive), budgets (each finite and
+  // positive, summing to eps), the node directory (n = granularity^2),
+  // and cross-section size consistency. Requires a little-endian LP64
+  // host — the zero-copy node tables are reinterpreted in place.
+  static StatusOr<RegionBundleView> Open(const std::string& path);
 
   const ConfigImage& config() const { return config_; }
   const std::string& path() const { return backing_->path(); }
@@ -65,7 +64,9 @@ class RegionBundleView {
   size_t node_count() const { return nodes_.size(); }
   const NodeDirEntry& node_entry(size_t i) const { return nodes_[i]; }
 
-  // Typed spans into one node's solved tables.
+  // Typed spans into one node's solved tables. Fails when the blob
+  // disagrees with its directory entry, when its level eps disagrees with
+  // the stored level budget, or when an alias index points past n.
   struct NodeView {
     int64_t node = 0;
     int level = 0;
@@ -81,34 +82,15 @@ class RegionBundleView {
   };
   StatusOr<NodeView> node(size_t i) const;
 
-  // Serving-plan layout; all spans empty when the bundle carries no plan.
-  struct PlanView {
-    std::span<const int64_t> node_id;     // per plan node
-    std::span<const int64_t> child_id;    // per child slot
-    std::span<const double> min_x, min_y, max_x, max_y;
-    std::span<const double> center_x, center_y;
-    std::span<const int32_t> child_begin, child_count;  // per plan node
-    std::span<const int32_t> child_plan;                // per child slot
-    std::span<const uint8_t> child_is_leaf;             // per child slot
-    bool empty() const { return node_id.empty(); }
-  };
-  const PlanView& plan() const { return plan_; }
-
-  // Re-walks the TOC and recomputes every section checksum against the
-  // mapped bytes (what Open(verify_checksums = true) already did); the
-  // CLI's `verify` and the smoke test call it on a fresh mapping.
-  Status VerifyChecksums() const;
-
  private:
   RegionBundleView() = default;
 
-  Status Parse(bool verify_checksums);
+  Status Parse();
   const SectionEntry* FindSection(uint32_t id) const;
   Status ParseConfig();
   Status ParseBudgets();
   Status ParsePrior();
   Status ParseNodes();
-  Status ParsePlan();
 
   std::shared_ptr<const MappedFile> backing_;
   std::vector<SectionEntry> sections_;
@@ -118,7 +100,6 @@ class RegionBundleView {
   std::vector<NodeDirEntry> nodes_;
   const unsigned char* nodes_base_ = nullptr;  // kNodes section start
   uint64_t nodes_size_ = 0;
-  PlanView plan_;
 };
 
 }  // namespace geopriv::bundle

@@ -108,48 +108,6 @@ class LocationSanitizer {
   StatusOr<LatLon> SanitizeLatLonOrStatus(double lat, double lon,
                                           rng::Rng& rng) const;
 
-  // Amortizes per-point overhead across a batch of sanitize calls: one
-  // walker holds one node-mechanism memo, so each tree node's cache
-  // lookup is paid once per batch instead of once per point. Draws from
-  // the caller's Rng exactly as the equivalent sequence of
-  // SanitizeOrStatus calls would (bit-identical for a fixed seed). Not
-  // thread-safe; create one walker per thread/batch, and keep it no
-  // longer than the batch — its memo pins the mechanisms it touched. The
-  // sanitizer must outlive the walker.
-  class BatchWalker {
-   public:
-    explicit BatchWalker(const LocationSanitizer& sanitizer)
-        : sanitizer_(sanitizer) {}
-
-    // The memo's pins made its entries unevictable for the walker's
-    // lifetime; releasing them may leave a bounded cache over budget with
-    // no future insert to re-trigger eviction, so sweep it here.
-    ~BatchWalker() {
-      memo_.clear();
-      sanitizer_.msm_->cache().EvictToBudget();
-    }
-
-    BatchWalker(const BatchWalker&) = delete;
-    BatchWalker& operator=(const BatchWalker&) = delete;
-
-    StatusOr<geo::Point> Sanitize(geo::Point actual, rng::Rng& rng) {
-      return sanitizer_.msm_->ReportOrStatus(
-          sanitizer_.domain_km_.Clamp(actual), rng, &memo_);
-    }
-    StatusOr<LatLon> SanitizeLatLon(double lat, double lon, rng::Rng& rng) {
-      GEOPRIV_ASSIGN_OR_RETURN(
-          const geo::Point reported,
-          Sanitize(sanitizer_.projection_.Forward(lat, lon), rng));
-      LatLon out;
-      sanitizer_.projection_.Inverse(reported, &out.lat, &out.lon);
-      return out;
-    }
-
-   private:
-    const LocationSanitizer& sanitizer_;
-    MultiStepMechanism::NodeMemo memo_;
-  };
-
   // Pre-solves the LPs of the `k` internal index nodes with the largest
   // prior mass (root-down), so first traffic hits a warm cache. Safe to
   // call concurrently with sanitize traffic. Returns the number of nodes

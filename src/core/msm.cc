@@ -348,38 +348,9 @@ size_t MultiStepMechanism::serving_plan_nodes() const {
   return plan == nullptr ? 0 : plan->mech.size();
 }
 
-MultiStepMechanism::PlanSnapshot MultiStepMechanism::SnapshotServingPlan()
-    const {
-  PlanSnapshot snapshot;
-  const std::shared_ptr<const ServingPlan> plan = CurrentPlan();
-  if (plan == nullptr || plan->empty()) return snapshot;
-  snapshot.child_begin = plan->child_begin;
-  snapshot.child_count = plan->child_count;
-  snapshot.min_x = plan->min_x;
-  snapshot.min_y = plan->min_y;
-  snapshot.max_x = plan->max_x;
-  snapshot.max_y = plan->max_y;
-  snapshot.center_x = plan->center_x;
-  snapshot.center_y = plan->center_y;
-  snapshot.child_plan = plan->child_plan;
-  snapshot.child_id = plan->child_id;
-  snapshot.child_is_leaf = plan->child_is_leaf;
-  // The plan stores no per-node spatial ids (the walk never needs them);
-  // they are recoverable because every non-root plan node is some slot's
-  // child: node_id[child_plan[s]] = child_id[s], and node 0 is the root.
-  snapshot.node_id.assign(plan->mech.size(),
-                          spatial::HierarchicalPartition::kRoot);
-  for (size_t s = 0; s < plan->child_plan.size(); ++s) {
-    const int32_t p = plan->child_plan[s];
-    if (p >= 0) snapshot.node_id[static_cast<size_t>(p)] = plan->child_id[s];
-  }
-  return snapshot;
-}
-
 StatusOr<geo::Point> MultiStepMechanism::WalkOne(const ServingPlan* plan,
                                                  geo::Point actual,
-                                                 rng::Rng& rng,
-                                                 NodeMemo* memo) const {
+                                                 rng::Rng& rng) const {
   spatial::NodeIndex node = spatial::HierarchicalPartition::kRoot;
   geo::Point reported = index_->Bounds(node).Center();
   int level = 1;
@@ -455,25 +426,14 @@ StatusOr<geo::Point> MultiStepMechanism::WalkOne(const ServingPlan* plan,
     if (index_->IsLeaf(node)) break;  // adaptive indexes may bottom out
     const spatial::NodeIndex at = node;
     const std::vector<spatial::ChildInfo> children = index_->Children(node);
-    NodeMechanismCache::MechanismPtr mech;
-    bool memo_hit = false;
-    if (memo != nullptr) {
-      auto it = memo->find(node);
-      if (it != memo->end()) {
-        mech = it->second;
-        memo_hit = true;
-      }
-    }
     bool cache_hit = false;
-    if (mech == nullptr) {
-      GEOPRIV_ASSIGN_OR_RETURN(mech, NodeMechanism(node, level, &cache_hit));
-      if (memo != nullptr) memo->emplace(node, mech);
-    }
+    GEOPRIV_ASSIGN_OR_RETURN(const NodeMechanismCache::MechanismPtr mech,
+                             NodeMechanism(node, level, &cache_hit));
     if (trace != nullptr) {
       const uint64_t now = obs::NowTicks();
-      const obs::SpanKind kind = memo_hit  ? obs::SpanKind::kWalkLevelMemo
-                                 : cache_hit ? obs::SpanKind::kWalkLevelCacheHit
-                                             : obs::SpanKind::kWalkLevelColdBuild;
+      const obs::SpanKind kind = cache_hit
+                                     ? obs::SpanKind::kWalkLevelCacheHit
+                                     : obs::SpanKind::kWalkLevelColdBuild;
       trace->Emit(kind, level_start, now, static_cast<int64_t>(at), level);
       level_start = now;
     }
@@ -497,6 +457,7 @@ StatusOr<geo::Point> MultiStepMechanism::WalkOne(const ServingPlan* plan,
   if (fallthrough_levels > 0) {
     stats_->Local().fallthrough_levels.fetch_add(fallthrough_levels,
                                                  std::memory_order_relaxed);
+    cache_->EvictToBudget();
   }
   if (trace != nullptr) {
     trace->Emit(obs::SpanKind::kWalk, walk_start, obs::NowTicks(),
@@ -507,28 +468,20 @@ StatusOr<geo::Point> MultiStepMechanism::WalkOne(const ServingPlan* plan,
 
 StatusOr<geo::Point> MultiStepMechanism::ReportOrStatus(
     geo::Point actual, rng::Rng& rng) const {
-  return ReportOrStatus(actual, rng, nullptr);
-}
-
-StatusOr<geo::Point> MultiStepMechanism::ReportOrStatus(
-    geo::Point actual, rng::Rng& rng, NodeMemo* memo) const {
   const std::shared_ptr<const ServingPlan> plan = CurrentPlan();
-  return WalkOne(plan.get(), actual, rng, memo);
+  return WalkOne(plan.get(), actual, rng);
 }
 
 std::vector<StatusOr<geo::Point>> MultiStepMechanism::ReportBatchOrStatus(
     const std::vector<geo::Point>& actuals, rng::Rng& rng) const {
   std::vector<StatusOr<geo::Point>> out;
   out.reserve(actuals.size());
-  // One plan pin and one memo for the whole batch: each node's mechanism
-  // is resolved at most once however many points walk through it. Points
-  // are processed in submission order, never regrouped — regrouping would
-  // permute the RNG draw sequence and break bit-identity with the
-  // sequential calls.
+  // One plan pin for the whole batch. Points are processed in submission
+  // order, never regrouped — regrouping would permute the RNG draw
+  // sequence and break bit-identity with the sequential calls.
   const std::shared_ptr<const ServingPlan> plan = CurrentPlan();
-  NodeMemo memo;
   for (const geo::Point& actual : actuals) {
-    out.push_back(WalkOne(plan.get(), actual, rng, &memo));
+    out.push_back(WalkOne(plan.get(), actual, rng));
   }
   return out;
 }

@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/sharded_counter.h"
@@ -65,8 +64,6 @@ struct MsmOptions {
   geo::UtilityMetric metric = geo::UtilityMetric::kEuclidean;
   // Reuse solved per-node LPs across queries.
   bool cache_nodes = true;
-  // Shards of the node cache (contention bound under concurrency).
-  int cache_shards = 16;
   // Byte budget for the node cache's resident OPT matrices; past it the
   // cache evicts least-recently-used unpinned entries. 0 = unbounded.
   size_t cache_byte_budget = 0;
@@ -119,23 +116,12 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
       double eps, std::shared_ptr<const spatial::HierarchicalPartition> index,
       std::shared_ptr<const prior::Prior> prior, const MsmOptions& options);
 
-  // Per-batch memo of pinned node mechanisms: a caller walking many points
-  // hands the same memo to every call so each cold node's cache lookup is
-  // paid once per batch instead of once per point. Failures are never
-  // memoized (retry semantics match the unmemoized path). Not thread-safe;
-  // one memo per thread/batch.
-  using NodeMemo =
-      std::unordered_map<spatial::NodeIndex, NodeMechanismCache::MechanismPtr>;
-
   // Status-returning variant (LP time limits surface here). Thread-safe in
-  // cached mode; `rng` must be private to the calling thread. The memo
-  // overload additionally reuses `memo` across calls (may be nullptr).
+  // cached mode; `rng` must be private to the calling thread.
   StatusOr<geo::Point> ReportOrStatus(geo::Point actual, rng::Rng& rng) const;
-  StatusOr<geo::Point> ReportOrStatus(geo::Point actual, rng::Rng& rng,
-                                      NodeMemo* memo) const;
 
-  // Walks every point in submission order against one pinned plan and one
-  // shared memo, drawing from `rng` exactly as the equivalent sequence of
+  // Walks every point in submission order against one pinned plan,
+  // drawing from `rng` exactly as the equivalent sequence of
   // ReportOrStatus calls would — bit-identical outputs for a fixed seed.
   std::vector<StatusOr<geo::Point>> ReportBatchOrStatus(
       const std::vector<geo::Point>& actuals, rng::Rng& rng) const;
@@ -155,24 +141,6 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
   // Consistent snapshot of the atomic counters.
   MsmStats stats() const;
 
-  // Value copy of the current serving plan's SoA arrays plus each plan
-  // node's spatial id, for serialization (bundle writers store the layout
-  // so `inspect` can show the warm subtree without rebuilding it). The
-  // plan is refreshed first if the cache generation moved; all vectors are
-  // empty when plans are disabled or nothing is warm. Array semantics
-  // match ServingPlan (see below): plan node p's children occupy
-  // [child_begin[p], child_begin[p]+child_count[p]) of the child arrays.
-  struct PlanSnapshot {
-    std::vector<spatial::NodeIndex> node_id;  // per plan node
-    std::vector<int32_t> child_begin;
-    std::vector<int32_t> child_count;
-    std::vector<double> min_x, min_y, max_x, max_y;
-    std::vector<double> center_x, center_y;
-    std::vector<int32_t> child_plan;
-    std::vector<spatial::NodeIndex> child_id;
-    std::vector<uint8_t> child_is_leaf;
-  };
-  PlanSnapshot SnapshotServingPlan() const;
   // Node count of the current serving plan, rebuilding it first if the
   // cache generation moved (0 when plans are disabled or nothing is warm).
   size_t serving_plan_nodes() const;
@@ -233,6 +201,9 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
     Slot& Local() { return slots[ThreadCounterSlot(kSlots)]; }
   };
 
+  // Shards of the node cache (contention bound under concurrency).
+  static constexpr int kCacheShards = 16;
+
   // Flattened SoA image of the warm subtree. Plan node p's children live
   // in the flat child arrays at [child_begin[p], child_begin[p] +
   // child_count[p]), in the exact order Children() returns them, so the
@@ -278,7 +249,7 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
         options_(std::move(options)),
         budget_(std::move(budget)),
         cache_(std::make_unique<NodeMechanismCache>(
-            options_.cache_shards, options_.cache_byte_budget)),
+            kCacheShards, options_.cache_byte_budget)),
         stats_(std::make_unique<AtomicStats>()),
         plan_state_(std::make_unique<PlanState>()) {}
 
@@ -294,9 +265,12 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
   std::shared_ptr<const ServingPlan> BuildPlan(uint64_t generation) const;
 
   // One root-to-leaf walk: pinned-plan phase first, cache fall-through for
-  // whatever the plan does not cover. `plan` and `memo` may be nullptr.
+  // whatever the plan does not cover. `plan` may be nullptr. A walk that
+  // fell through ends with a sweep of a bounded cache: its pins are gone
+  // by then, and entries they kept from the evictor may have left the
+  // cache over budget with no later insert to trigger eviction.
   StatusOr<geo::Point> WalkOne(const ServingPlan* plan, geo::Point actual,
-                               rng::Rng& rng, NodeMemo* memo) const;
+                               rng::Rng& rng) const;
 
   double eps_;
   std::shared_ptr<const spatial::HierarchicalPartition> index_;

@@ -136,10 +136,10 @@ class NodeMechanismCache {
 
   // Evicts LRU entries until bytes_resident() <= byte_budget() or nothing
   // evictable remains. No-op when unbounded or already within budget. The
-  // insert path runs this after charging a new entry; pin-holding callers
-  // (batch walkers, plan rebuilders) run it when they release their pins,
-  // since entries they pinned at insert time were skipped by the evictor
-  // and would otherwise stay resident over budget until the next insert.
+  // insert path runs this after charging a new entry; MSM walks that fell
+  // through to the cache run it once their pins are released, since
+  // entries pinned at insert time were skipped by the evictor and would
+  // otherwise stay resident over budget until the next insert.
   void EvictToBudget();
 
  private:

@@ -40,8 +40,6 @@ const char* SpanKindName(SpanKind kind) {
       return "walk";
     case SpanKind::kWalkLevelPlan:
       return "walk_level_plan";
-    case SpanKind::kWalkLevelMemo:
-      return "walk_level_memo";
     case SpanKind::kWalkLevelCacheHit:
       return "walk_level_cache_hit";
     case SpanKind::kWalkLevelColdBuild:

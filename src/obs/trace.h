@@ -77,7 +77,6 @@ enum class SpanKind : uint16_t {
   kQueueWait,           // submission -> worker pickup
   kWalk,                // the MSM tree walk, all levels
   kWalkLevelPlan,       // one level served from the pinned serving plan
-  kWalkLevelMemo,       // one level served from the batch memo
   kWalkLevelCacheHit,   // one level served from the singleflight cache
   kWalkLevelColdBuild,  // one level that paid a cold LP build
   kLpPricing,           // LP phase: column-generation pricing scans

@@ -20,6 +20,9 @@ namespace {
 // (4096^2 cells ~= 17M, still O(1) memory since UniformGrid is implicit).
 constexpr int kMaxFallbackCellsPerAxis = 4096;
 
+// SanitizeBatch items per pool task.
+constexpr size_t kBatchChunkSize = 8;
+
 // The MSM's effective leaf resolution, capped so the fallback grid stays
 // bounded: granularity^height cells per axis, at most
 // kMaxFallbackCellsPerAxis. Both registration paths size their
@@ -124,9 +127,6 @@ StatusOr<std::unique_ptr<SanitizationService>> SanitizationService::Create(
   }
   if (options.default_deadline_ms < 0.0) {
     return Status::InvalidArgument("default_deadline_ms must be >= 0");
-  }
-  if (options.batch_chunk_size < 1) {
-    return Status::InvalidArgument("batch_chunk_size must be >= 1");
   }
   if (options.num_shards < 0) {
     return Status::InvalidArgument("num_shards must be >= 0");
@@ -292,7 +292,7 @@ Status SanitizationService::LoadRegionFromBundle(
   // exists to shrink, so it must not flatter itself by excluding the
   // checksum pass.
   const Stopwatch watch;
-  auto view = bundle::RegionBundleView::Open(path, options.verify_checksums);
+  auto view = bundle::RegionBundleView::Open(path);
   if (!view.ok()) {
     release();
     return view.status();
@@ -380,10 +380,10 @@ void SanitizationService::FinishOne() {
   inflight_cv_.notify_all();
 }
 
-void SanitizationService::ServeOne(
-    Region& region, core::LocationSanitizer::BatchWalker& walker,
-    const core::LatLon& location, double deadline_ms, const Stopwatch& watch,
-    int worker_id, SanitizeResult* result) {
+void SanitizationService::ServeOne(Region& region,
+                                   const core::LatLon& location,
+                                   double deadline_ms, const Stopwatch& watch,
+                                   int worker_id, SanitizeResult* result) {
   const int slot = WorkerSlot(worker_id);
   rng::Rng& rng = worker_rngs_[static_cast<size_t>(worker_id)];
   result->worker_id = worker_id;
@@ -397,7 +397,8 @@ void SanitizationService::ServeOne(
     fallback = true;
     metrics_.RecordDeadlineFallback(slot);
   } else {
-    auto sanitized = walker.SanitizeLatLon(location.lat, location.lon, rng);
+    auto sanitized = region.sanitizer.SanitizeLatLonOrStatus(
+        location.lat, location.lon, rng);
     if (sanitized.ok()) {
       result->reported = sanitized.value();
       metrics_.RecordOk(slot);
@@ -464,8 +465,7 @@ void SanitizationService::Process(const SanitizeRequest& request,
   const double deadline_ms = request.deadline_ms > 0.0
                                  ? request.deadline_ms
                                  : options_.default_deadline_ms;
-  core::LocationSanitizer::BatchWalker walker(region->sanitizer);
-  ServeOne(*region, walker, request.location, deadline_ms, watch, worker_id,
+  ServeOne(*region, request.location, deadline_ms, watch, worker_id,
            &result);
   tracer.Finish(result);
   if (done) done(result);
@@ -521,16 +521,15 @@ std::vector<SanitizeResult> SanitizationService::SanitizeBatch(
   auto state = std::make_shared<BatchState>();
   state->pending = locations.size();
 
-  // Chunked fan-out: each pool task serves batch_chunk_size consecutive
-  // items, resolving the region once (one snapshot load) and reusing one
-  // BatchWalker — so per-node mechanism lookups are paid once per chunk.
-  // Items run in submission order within a chunk, which keeps a
-  // single-worker batch's RNG draw sequence identical to item-per-task
-  // submission. The caller blocks until pending == 0, so capturing its
-  // region_id/locations/results by reference is safe.
-  const size_t chunk_size = static_cast<size_t>(options_.batch_chunk_size);
-  for (size_t begin = 0; begin < locations.size(); begin += chunk_size) {
-    const size_t end = std::min(locations.size(), begin + chunk_size);
+  // Chunked fan-out: each pool task serves kBatchChunkSize consecutive
+  // items and resolves the region once (one snapshot load), so per-item
+  // queue and lookup overhead is paid once per chunk. Items run in
+  // submission order within a chunk, which keeps a single-worker batch's
+  // RNG draw sequence identical to item-per-task submission. The caller
+  // blocks until pending == 0, so capturing its region_id/locations/
+  // results by reference is safe.
+  for (size_t begin = 0; begin < locations.size(); begin += kBatchChunkSize) {
+    const size_t end = std::min(locations.size(), begin + kBatchChunkSize);
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
       ++inflight_;
@@ -562,15 +561,13 @@ std::vector<SanitizeResult> SanitizationService::SanitizeBatch(
           tracer.Finish(results[i]);
         }
       } else {
-        core::LocationSanitizer::BatchWalker walker(region->sanitizer);
         for (size_t i = begin; i < end; ++i) {
           // One tracer per item: every item of the chunk gets its own
           // request id and retention decision (the queue-wait span of a
           // late item includes its wait behind earlier chunk items).
           RequestTracer tracer(recorder_.get(), watch);
-          ServeOne(*region, walker, locations[i],
-                   options_.default_deadline_ms, watch, worker_id,
-                   &results[i]);
+          ServeOne(*region, locations[i], options_.default_deadline_ms, watch,
+                   worker_id, &results[i]);
           tracer.Finish(results[i]);
         }
       }

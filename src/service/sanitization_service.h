@@ -89,11 +89,6 @@ struct ServiceOptions {
   uint64_t seed = 0x5EED5EED5EEDull;
   // Applied to requests that do not set their own deadline. 0 = none.
   double default_deadline_ms = 0.0;
-  // SanitizeBatch items per pool task. A chunk resolves its region once
-  // (one snapshot load) and walks its items through one BatchWalker, so
-  // per-item queue/lookup overhead is amortized chunk-wide; 1 reproduces
-  // the old item-per-task behavior.
-  int batch_chunk_size = 8;
   // Request tracing / flight recording. trace.sample_one_in == 0 (the
   // default) disables tracing entirely: no recorder is built and every
   // instrumentation site costs one thread-local load and a branch.
@@ -146,10 +141,6 @@ struct BundleRegionOptions {
   // Wall-clock cap per cold-node LP solve (bundle misses only; bundled
   // nodes never solve). 0 = unlimited.
   double lp_time_limit_seconds = 0.0;
-  // Verify every section's FNV-1a checksum against the TOC before
-  // serving. Costs one pass over the file; turn off only for bundles on
-  // trusted, already-verified storage.
-  bool verify_checksums = true;
 };
 
 struct SanitizeRequest {
@@ -395,11 +386,10 @@ class SanitizationService {
                const Callback& done, int worker_id);
 
   // The per-item serving logic shared by Process and the chunked batch
-  // path: deadline check, MSM walk (through `walker`), fallback,
-  // per-worker metrics. `deadline_ms` 0 = none.
-  void ServeOne(Region& region, core::LocationSanitizer::BatchWalker& walker,
-                const core::LatLon& location, double deadline_ms,
-                const Stopwatch& watch, int worker_id,
+  // path: deadline check, MSM walk, fallback, per-worker metrics.
+  // `deadline_ms` 0 = none.
+  void ServeOne(Region& region, const core::LatLon& location,
+                double deadline_ms, const Stopwatch& watch, int worker_id,
                 SanitizeResult* result);
 
   void FinishOne();

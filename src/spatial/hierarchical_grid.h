@@ -29,8 +29,9 @@ class HierarchicalGrid final : public HierarchicalPartition {
   std::vector<ChildInfo> Children(NodeIndex node) const override;
   double TypicalCellSide(int level) const override;
 
-  // Depth of a node (root = 0).
+  // Depth of a node (root = 0). `node` must be in [0, num_nodes()).
   int LevelOf(NodeIndex node) const;
+  NodeIndex num_nodes() const { return offset_[height_ + 1]; }
 
   // The node at `level` whose cell contains `p` (clamped to the domain).
   NodeIndex NodeAt(int level, geo::Point p) const;

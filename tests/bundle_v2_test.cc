@@ -1,14 +1,19 @@
 // Tests for the v2 region-bundle subsystem (src/bundle/): build ->
 // mmap -> serve round trip, bit-identity of bundle-loaded regions
-// against scratch-built ones, zero LP solves at load, robustness against
-// truncation at every section boundary and bit flips in every section,
-// version-skew rejection in both directions, and the service-level
-// LoadRegionFromBundle path.
+// against scratch-built ones, zero LP solves at load, the offline client
+// bundle (no solved nodes), robustness against truncation at every
+// section boundary, bit flips in every section, version skew, wrong
+// magic, and hostile edits with recomputed checksums, and the
+// service-level LoadRegionFromBundle path.
 
 #include <algorithm>
 #include <climits>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,15 +23,15 @@
 #include "bundle/format.h"
 #include "bundle/loader.h"
 #include "bundle/region_bundle.h"
-#include "core/bundle.h"
 #include "core/location_sanitizer.h"
+#include "prior/prior.h"
 #include "rng/rng.h"
 #include "service/sanitization_service.h"
 
 namespace geopriv::bundle {
 namespace {
 
-std::string TempPath(const char* name) {
+std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
@@ -69,14 +74,28 @@ const std::string& SharedBundlePath() {
     auto result = BuildRegionBundle(SmallSpec(), options, p);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_GT(result->nodes, 0u);
-    EXPECT_GT(result->plan_nodes, 0u);
     return p;
   }();
   return path;
 }
 
-core::LocationSanitizer ScratchSanitizer(uint64_t seed) {
-  const RegionSpec spec = SmallSpec();
+// SmallSpec's budget covers one level only; at eps 12 it splits over two
+// (root plus four level-2 nodes), for the edits that need a second level.
+const std::string& TwoLevelBundlePath() {
+  static const std::string path = [] {
+    const std::string p = TempPath("region_v2_two_level.gpb");
+    RegionSpec spec = SmallSpec();
+    spec.eps = 12.0;
+    auto result = BuildRegionBundle(spec, BuildBundleOptions{}, p);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->nodes, 5u);
+    return p;
+  }();
+  return path;
+}
+
+core::LocationSanitizer ScratchSanitizer(uint64_t seed,
+                                         const RegionSpec& spec = SmallSpec()) {
   auto built = core::LocationSanitizer::Builder()
                    .SetRegionLatLon(spec.min_lat, spec.min_lon, spec.max_lat,
                                     spec.max_lon)
@@ -90,6 +109,92 @@ core::LocationSanitizer ScratchSanitizer(uint64_t seed) {
                    .Build();
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   return std::move(built).value();
+}
+
+// Byte offsets of the fields the hostile-edit tests below rewrite, read
+// from a valid bundle.
+struct Layout {
+  std::vector<SectionEntry> sections;
+  size_t config = 0;   // kConfig section start
+  size_t budgets = 0;  // kBudgets section start
+  size_t nodes = 0;    // kNodes section start
+  std::vector<NodeDirEntry> dir;
+  size_t height = 0;
+};
+
+Layout LayoutOf(const RegionBundleView& view) {
+  Layout layout;
+  layout.sections = view.sections();
+  for (const SectionEntry& section : layout.sections) {
+    if (section.id == kConfig) layout.config = section.offset;
+    if (section.id == kBudgets) layout.budgets = section.offset;
+    if (section.id == kNodes) layout.nodes = section.offset;
+  }
+  for (size_t i = 0; i < view.node_count(); ++i) {
+    layout.dir.push_back(view.node_entry(i));
+  }
+  layout.height = view.level_budgets().size();
+  return layout;
+}
+
+size_t ConfigEps(const Layout& l) { return l.config + 32; }
+size_t Budget(const Layout& l, size_t level) {
+  return l.budgets + 8 + 8 * level;
+}
+size_t DirEntry(const Layout& l, size_t i) { return l.nodes + 8 + 32 * i; }
+size_t Blob(const Layout& l, size_t i) { return l.nodes + l.dir[i].offset; }
+// Start of node i's alias_prob table; its alias_alias table follows.
+size_t AliasProb(const Layout& l, size_t i) {
+  const size_t n = l.dir[i].n;
+  return Blob(l, i) + kNodeBlobHeaderBytes + 8 * (3 * n + n * n);
+}
+
+template <typename T>
+void Put(std::string& bytes, size_t at, T value) {
+  std::memcpy(&bytes[at], &value, sizeof(value));
+}
+template <typename T>
+T Get(const std::string& bytes, size_t at) {
+  T value;
+  std::memcpy(&value, &bytes[at], sizeof(value));
+  return value;
+}
+
+using Edit = std::function<void(std::string& bytes, const Layout& layout)>;
+
+// Applies `edit` to a copy of the bundle at `source_path` and recomputes
+// every TOC checksum, so only the semantic checks stand between the edit
+// and the server. Then opens, loads, and serves one report, returning the
+// first non-OK status (OK when all three accept the file).
+Status OpenLoadAndServeEdited(
+    const Edit& edit, const std::string& source_path = SharedBundlePath()) {
+  std::string bytes = ReadAll(source_path);
+  auto source = RegionBundleView::Open(source_path);
+  EXPECT_TRUE(source.ok()) << source.status().ToString();
+  const Layout layout = LayoutOf(*source);
+  edit(bytes, layout);
+  for (size_t i = 0; i < layout.sections.size(); ++i) {
+    const SectionEntry& section = layout.sections[i];
+    Put<uint64_t>(bytes, kHeaderBytes + i * kTocEntryBytes + 24,
+                  Fnv1a(bytes.data() + section.offset, section.size));
+  }
+  // One file per test: ctest runs tests as parallel processes, and
+  // rewriting a file another process has mapped would fault its reads.
+  const std::string path = TempPath(
+      std::string(
+          ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      ".gpb");
+  WriteAll(path, bytes);
+  const Status status = [&]() -> Status {
+    GEOPRIV_ASSIGN_OR_RETURN(const RegionBundleView view,
+                             RegionBundleView::Open(path));
+    GEOPRIV_ASSIGN_OR_RETURN(LoadedRegion loaded, LoadRegion(view));
+    rng::Rng rng(3);
+    return loaded.sanitizer.SanitizeLatLonOrStatus(30.195, -97.865, rng)
+        .status();
+  }();
+  std::remove(path.c_str());
+  return status;
 }
 
 TEST(RegionBundleV2Test, OpenValidatesAndExposesTheConfig) {
@@ -107,10 +212,6 @@ TEST(RegionBundleV2Test, OpenValidatesAndExposesTheConfig) {
             static_cast<size_t>(spec.prior_granularity) *
                 static_cast<size_t>(spec.prior_granularity));
   EXPECT_GT(view->node_count(), 0u);
-  ASSERT_FALSE(view->plan().empty());
-  EXPECT_EQ(view->plan().node_id.size(), view->plan().child_begin.size());
-  EXPECT_EQ(view->plan().child_id.size(), view->plan().child_plan.size());
-  EXPECT_TRUE(view->VerifyChecksums().ok());
 
   // Every stored node decodes, with self-consistent table sizes.
   for (size_t i = 0; i < view->node_count(); ++i) {
@@ -220,7 +321,7 @@ TEST(RegionBundleV2Test, ChecksumsCatchABitFlipInEverySection) {
     ASSERT_LT(at, corrupt.size());
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0x10);
     WriteAll(path, corrupt);
-    auto flipped = RegionBundleView::Open(path, /*verify_checksums=*/true);
+    auto flipped = RegionBundleView::Open(path);
     EXPECT_FALSE(flipped.ok())
         << "bit flip in section " << section.id << " accepted";
   }
@@ -241,21 +342,13 @@ TEST(RegionBundleV2Test, RejectsVersionSkewInBothDirections) {
   EXPECT_NE(skewed.status().message().find("version 2"), std::string::npos)
       << skewed.status().message();
 
-  // A v1 client bundle handed to the v2 loader: refused with a pointer at
-  // the right entry point instead of a generic parse error.
-  auto v1 = core::BuildClientBundle({0.0, 0.0, 10.0, 10.0},
-                                    {{5.0, 5.0}, {6.0, 4.0}, {2.0, 8.0}},
-                                    0.5, 3, 0.7, 8);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  ASSERT_TRUE(core::SaveClientBundle(*v1, path).ok());
-  auto crossed = RegionBundleView::Open(path);
-  ASSERT_FALSE(crossed.ok());
-  EXPECT_NE(crossed.status().message().find("LoadClientBundle"),
-            std::string::npos)
-      << crossed.status().message();
-
-  // And the reverse direction is covered in bundle_test.cc
-  // (LoadRejectsV2MagicWithPointerToTheRightLoader).
+  // An older version in the same envelope is refused the same way.
+  bytes[8] = 1;
+  WriteAll(path, bytes);
+  auto older = RegionBundleView::Open(path);
+  ASSERT_FALSE(older.ok());
+  EXPECT_NE(older.status().message().find("version 1"), std::string::npos)
+      << older.status().message();
   std::remove(path.c_str());
 }
 
@@ -277,6 +370,248 @@ TEST(RegionBundleV2Test, PartialPrewarmBundleStoresOnlyWarmNodes) {
   rng::Rng rng(7);
   auto out = loaded->sanitizer.SanitizeLatLonOrStatus(30.195, -97.865, rng);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(RegionBundleV2Test, UneditedBundleWithRecomputedChecksumsServes) {
+  // The control for the hostile edits below: recomputing the checksums of
+  // an unedited bundle changes nothing.
+  for (const std::string& path : {SharedBundlePath(), TwoLevelBundlePath()}) {
+    const Status status =
+        OpenLoadAndServeEdited([](std::string&, const Layout&) {}, path);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
+TEST(RegionBundleV2Test, RejectsAConfigEpsThatIsNotAPositiveNumber) {
+  for (const double eps : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.2}) {
+    const Status status =
+        OpenLoadAndServeEdited([eps](std::string& bytes, const Layout& l) {
+          Put(bytes, ConfigEps(l), eps);
+        });
+    EXPECT_FALSE(status.ok()) << "eps " << eps << " accepted";
+  }
+}
+
+TEST(RegionBundleV2Test, RejectsBudgetsThatDoNotSumToEps) {
+  // The stored budgets sum to 1.2 and the node blobs hold matrices solved
+  // at them; a config claiming eps = 0.1 must not rescale them silently.
+  const Status status =
+      OpenLoadAndServeEdited([](std::string& bytes, const Layout& l) {
+        Put(bytes, ConfigEps(l), 0.1);
+      });
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("sum to eps"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(RegionBundleV2Test, RejectsALevelBudgetThatIsNotAPositiveNumber) {
+  for (const double budget : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    const Status status =
+        OpenLoadAndServeEdited([budget](std::string& bytes, const Layout& l) {
+          Put(bytes, Budget(l, 0), budget);
+        });
+    EXPECT_FALSE(status.ok()) << "budget " << budget << " accepted";
+  }
+  // Zero and negative level budgets, with the next level absorbing the
+  // difference so the sum still matches eps.
+  for (const double scale : {0.0, -1.0}) {
+    const Status status = OpenLoadAndServeEdited(
+        [scale](std::string& bytes, const Layout& l) {
+          ASSERT_EQ(l.height, 2u);
+          const double b0 = Get<double>(bytes, Budget(l, 0));
+          const double b1 = Get<double>(bytes, Budget(l, 1));
+          Put(bytes, Budget(l, 0), scale * b0);
+          Put(bytes, Budget(l, 1), b1 + (1.0 - scale) * b0);
+        },
+        TwoLevelBundlePath());
+    EXPECT_FALSE(status.ok()) << "budget scale " << scale << " accepted";
+    EXPECT_NE(status.message().find("level budget"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(RegionBundleV2Test, RejectsAliasIndexesPastTheCandidateCount) {
+  // Every alias of node 0 points far past its n candidates and every
+  // probability forces the alias branch: a server that trusted the table
+  // would read out of bounds on the first request.
+  Status status =
+      OpenLoadAndServeEdited([](std::string& bytes, const Layout& l) {
+        const size_t nn = size_t{l.dir[0].n} * l.dir[0].n;
+        for (size_t k = 0; k < nn; ++k) {
+          Put(bytes, AliasProb(l, 0) + 8 * k, 0.0);
+          Put<uint64_t>(bytes, AliasProb(l, 0) + 8 * (nn + k), 1000000);
+        }
+      });
+  EXPECT_FALSE(status.ok());
+  // One index exactly at n is just as far out.
+  status = OpenLoadAndServeEdited([](std::string& bytes, const Layout& l) {
+    const size_t nn = size_t{l.dir[0].n} * l.dir[0].n;
+    Put<uint64_t>(bytes, AliasProb(l, 0) + 8 * nn, l.dir[0].n);
+  });
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("alias"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(RegionBundleV2Test, RejectsANodeStoredAtTheWrongIndexLevel) {
+  // Swapping the ids of the root (level 1) and a level-2 node keeps every
+  // id unique and every blob intact, but each mechanism would serve the
+  // other node's cell.
+  Status status = OpenLoadAndServeEdited(
+      [](std::string& bytes, const Layout& l) {
+        ASSERT_EQ(l.dir[0].level, 1u);
+        ASSERT_EQ(l.dir[1].level, 2u);
+        Put<int64_t>(bytes, DirEntry(l, 0), l.dir[1].node);
+        Put<int64_t>(bytes, DirEntry(l, 1), l.dir[0].node);
+      },
+      TwoLevelBundlePath());
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("wrong index level"), std::string::npos)
+      << status.ToString();
+  for (const int64_t id : {int64_t{-1}, std::numeric_limits<int64_t>::max()}) {
+    status = OpenLoadAndServeEdited([id](std::string& bytes, const Layout& l) {
+      Put<int64_t>(bytes, DirEntry(l, 0), id);
+    });
+    EXPECT_FALSE(status.ok()) << "node id " << id << " accepted";
+  }
+}
+
+TEST(RegionBundleV2Test, RejectsANodeWhoseCandidateCountIsNotTheFanout) {
+  // n = 1, consistently in the directory (n and size) and in the blob: a
+  // well-formed blob for a node that must have granularity^2 candidates.
+  const Status status =
+      OpenLoadAndServeEdited([](std::string& bytes, const Layout& l) {
+        Put<uint32_t>(bytes, DirEntry(l, 0) + 12, 1);
+        Put<uint64_t>(bytes, DirEntry(l, 0) + 24, NodeBlobBytes(1));
+        Put<uint64_t>(bytes, Blob(l, 0) + 16, 1);
+      });
+  EXPECT_FALSE(status.ok());
+}
+
+TEST(RegionBundleV2Test, RejectsANodeSolvedAtAnEpsOtherThanItsLevelBudget) {
+  const Status status =
+      OpenLoadAndServeEdited([](std::string& bytes, const Layout& l) {
+        Put(bytes, Blob(l, 0), 1.5 * Get<double>(bytes, Blob(l, 0)));
+      });
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("level budget"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(RegionBundleV2Test, OpenRejectsAByteSwappedSentinel) {
+  // A well-formed magic followed by the endian sentinel in big-endian
+  // byte order — what a big-endian writer ignoring the LE contract would
+  // produce. The reader must refuse rather than misparse every field.
+  std::string bytes = "GPB2";
+  bytes += std::string("\x01\x02\x03\x04", 4);
+  bytes.append(kHeaderBytes, '\0');
+  const std::string path = TempPath("region_v2_swapped.gpb");
+  WriteAll(path, bytes);
+  auto view = RegionBundleView::Open(path);
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(view.status().message().find("byte-swapped"), std::string::npos)
+      << view.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(RegionBundleV2Test, OpenRejectsWrongMagic) {
+  // Arbitrary bytes, and a retired v1 ("GPB1") client bundle: neither is
+  // a region bundle.
+  const std::string path = TempPath("region_v2_magic.gpb");
+  for (const std::string head : {"definitely not a bundle", "GPB1"}) {
+    WriteAll(path, head + std::string(kHeaderBytes, '\0'));
+    auto view = RegionBundleView::Open(path);
+    ASSERT_FALSE(view.ok()) << head;
+    EXPECT_NE(view.status().message().find("not a region bundle"),
+              std::string::npos)
+        << view.status().message();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(RegionBundleV2Test, OpenReportsAMissingFileAsAnIoError) {
+  auto view = RegionBundleView::Open("/nonexistent/region.gpb");
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().code(), StatusCode::kIoError);
+}
+
+TEST(RegionBundleV2Test, RewriteInPlaceLeavesNoStagingFileAndTheNewOneWins) {
+  const std::string path = TempPath("region_v2_rewrite.gpb");
+  RegionSpec spec = SmallSpec();
+  ASSERT_TRUE(WriteRegionBundle(ScratchSanitizer(1, spec), spec, path).ok());
+  spec.eps = 0.7;
+  ASSERT_TRUE(WriteRegionBundle(ScratchSanitizer(1, spec), spec, path).ok());
+  // The crash-atomic writer stages into "<path>.tmp.<pid>.<n>" and
+  // renames; success must leave no staging file behind.
+  const std::filesystem::path target(path);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_EQ(entry.path().filename().string().find(
+                  target.filename().string() + ".tmp"),
+              std::string::npos)
+        << "staging file left behind: " << entry.path();
+  }
+  auto view = RegionBundleView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_DOUBLE_EQ(view->config().eps, 0.7);
+  std::remove(path.c_str());
+}
+
+TEST(RegionBundleV2Test, OfflineBundleRoundTripSolvesNodesLazily) {
+  // The paper's offline client bundle: a region that has solved nothing,
+  // written as config, budgets, and prior with no node section.
+  const RegionSpec spec = SmallSpec();
+  const core::LocationSanitizer source = ScratchSanitizer(1);
+  ASSERT_EQ(source.mechanism().cache_size(), 0u);
+  const std::string path = TempPath("region_v2_client.gpb");
+  auto written = WriteRegionBundle(source, spec, path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written->nodes, 0u);
+
+  auto view = RegionBundleView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  for (const SectionEntry& section : view->sections()) {
+    EXPECT_NE(section.id, kNodes);
+  }
+  EXPECT_EQ(view->node_count(), 0u);
+  // Budgets and prior are the source's, bit for bit.
+  const std::vector<double>& budgets = source.budget().per_level;
+  ASSERT_EQ(view->level_budgets().size(), budgets.size());
+  for (size_t l = 0; l < budgets.size(); ++l) {
+    EXPECT_EQ(view->level_budgets()[l], budgets[l]) << l;
+  }
+  const prior::Prior& prior = source.mechanism().prior();
+  ASSERT_EQ(view->prior_masses().size(),
+            static_cast<size_t>(prior.grid().num_cells()));
+  for (int i = 0; i < prior.grid().num_cells(); ++i) {
+    EXPECT_EQ(view->prior_masses()[static_cast<size_t>(i)], prior.mass(i))
+        << i;
+  }
+
+  auto loaded = LoadRegion(view.value());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->nodes_loaded, 0u);
+  const core::MultiStepMechanism& msm = loaded->sanitizer.mechanism();
+  EXPECT_EQ(msm.stats().lp_solves, 0);
+  rng::Rng rng(11);
+  for (int i = 0; i < 40; ++i) {
+    auto out = loaded->sanitizer.SanitizeLatLonOrStatus(
+        spec.min_lat + (spec.max_lat - spec.min_lat) * (i % 8) / 8.0,
+        spec.min_lon + (spec.max_lon - spec.min_lon) * (i % 5) / 5.0, rng);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_GE(out->lat, spec.min_lat);
+    EXPECT_LE(out->lat, spec.max_lat);
+    EXPECT_GE(out->lon, spec.min_lon);
+    EXPECT_LE(out->lon, spec.max_lon);
+  }
+  // Each node the reports walked through was solved once, on first touch.
+  EXPECT_GT(msm.stats().lp_solves, 0);
+  EXPECT_EQ(static_cast<size_t>(msm.stats().lp_solves), msm.cache_size());
   std::remove(path.c_str());
 }
 

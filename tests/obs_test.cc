@@ -268,7 +268,6 @@ TEST(SanitizationTraceTest, EndToEndSpansCoverThePipeline) {
   const bool has_level_span =
       dump.find("walk_level_cold_build") != std::string::npos ||
       dump.find("walk_level_cache_hit") != std::string::npos ||
-      dump.find("walk_level_memo") != std::string::npos ||
       dump.find("walk_level_plan") != std::string::npos;
   EXPECT_TRUE(has_level_span) << dump.substr(0, 2000);
   // Cold builds ran at least once, so the LP phase spans appear.

@@ -1,13 +1,14 @@
 // Serving-plan tests for the MSM warm path: bit-identity between the
 // pinned-plan walk and the legacy cache walk, zero cache traffic on fully
 // warm walks, generation-driven rebuilds across eviction/Clear, batch
-// reproducibility, and TSan stress for plans invalidated mid-walk. Run
-// under TSan via
+// reproducibility, the budget sweep that ends a fall-through walk, and
+// TSan stress for plans invalidated mid-walk. Run under TSan via
 //   cmake -B build-tsan -DGEOPRIV_SANITIZE=thread
 
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -211,6 +212,50 @@ TEST(ServingPlanTest, ReportBatchIsBitIdenticalToSequentialReports) {
     ASSERT_TRUE(batch[i].ok());
     EXPECT_EQ(batch[i].value(), sequential[i]) << "diverged at item " << i;
   }
+}
+
+TEST(ServingPlanTest, FallThroughWalkSweepsABoundedCacheBackUnderBudget) {
+  // Entries pinned while others are inserted are skipped by the evictor,
+  // so a bounded cache can stay over budget once the pins go, with no
+  // insert left to trigger eviction. The next walk that falls through to
+  // the cache must sweep it back within budget.
+  MsmOptions options;
+  options.serving_plan = false;  // every level walks the cache
+  auto probe = MakeMsm(options);
+  const spatial::NodeIndex root = spatial::HierarchicalPartition::kRoot;
+  auto root_mech = probe->NodeMechanism(root, 1);
+  ASSERT_TRUE(root_mech.ok());
+  options.cache_byte_budget = (*root_mech)->MemoryFootprintBytes();
+  auto msm = MakeMsm(options);
+
+  // Pin every internal node the budget levels reach, root-down.
+  std::vector<NodeMechanismCache::MechanismPtr> pins;
+  std::vector<std::pair<spatial::NodeIndex, int>> frontier = {{root, 1}};
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    const auto [node, level] = frontier[i];
+    auto mech = msm->NodeMechanism(node, level);
+    ASSERT_TRUE(mech.ok());
+    pins.push_back(std::move(mech).value());
+    if (level == msm->height()) continue;
+    for (const spatial::ChildInfo& child : msm->index().Children(node)) {
+      if (!msm->index().IsLeaf(child.id)) {
+        frontier.push_back({child.id, level + 1});
+      }
+    }
+  }
+  pins.clear();
+  const size_t budget = msm->cache().byte_budget();
+  ASSERT_GT(msm->cache().bytes_resident(), budget);
+  const uint64_t evictions = msm->cache().evictions();
+
+  // Every node is resident, so this walk only hits and no insert runs
+  // the evictor; the walk's own sweep brings the cache back.
+  rng::Rng rng(17);
+  ASSERT_TRUE(msm->ReportOrStatus({6.0, 7.0}, rng).ok());
+  EXPECT_GT(msm->stats().fallthrough_levels, 0);
+  EXPECT_EQ(msm->stats().lp_solves, static_cast<int64_t>(frontier.size()));
+  EXPECT_LE(msm->cache().bytes_resident(), budget);
+  EXPECT_GT(msm->cache().evictions(), evictions);
 }
 
 TEST(ServingPlanTest, EvictionInvalidatingPlansMidWalkStress) {
