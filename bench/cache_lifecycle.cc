@@ -92,11 +92,11 @@ RegimeResult RunRegime(const std::string& name, int threads,
   GEOPRIV_CHECK_OK(info.status());
   r.prewarmed_nodes = info->prewarmed_nodes;
   r.lp_solves = info->msm.lp_solves;
-  r.hit_rate = info->cache_hit_rate;
+  r.hit_rate = info->msm.cache_hit_rate;
   r.cache_size = info->cache_size;
-  r.bytes_resident = info->cache_bytes_resident;
+  r.bytes_resident = static_cast<size_t>(info->msm.cache_bytes_resident);
   r.byte_budget = info->cache_byte_budget;
-  r.evictions = info->cache_evictions;
+  r.evictions = static_cast<uint64_t>(info->msm.cache_evictions);
   std::printf(
       "%-10s cold %.0f qps / warm %.0f qps, hit rate %.3f, "
       "%zu B resident, %llu evictions\n",

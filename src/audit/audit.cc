@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <limits>
 #include <map>
-#include <string_view>
 
 #include "bundle/loader.h"
 #include "core/msm.h"
@@ -338,73 +336,48 @@ StatusOr<RegionAuditReport> AuditBundle(const bundle::RegionBundleView& view,
   return AuditRegion(region.sanitizer, options);
 }
 
-namespace {
-
-void AppendDouble(std::string& out, const char* key, double value) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.17g", key, value);
-  out += buf;
+std::vector<obs::Metric> AuditReportMetrics(const RegionAuditReport& r) {
+  using enum obs::MetricKind;
+  using enum obs::NumberFormat;
+  return {
+      {"height", kGauge, r.height},
+      {"audited_nodes", kGauge, r.audited_nodes},
+      {"skipped_nodes", kGauge, r.skipped_nodes},
+      {"cold_nodes_skipped", kGauge, r.cold_nodes_skipped},
+      {"expected_loss_euclidean", kGauge, r.expected_loss_euclidean, kG17},
+      {"expected_loss_squared", kGauge, r.expected_loss_squared, kG17},
+      {"adversary_error", kGauge, r.adversary_error, kG17},
+      {"conditional_entropy_bits", kGauge, r.conditional_entropy_bits, kG17},
+      {"worst_case_loss", kGauge, r.worst_case_loss, kG17},
+      {"min_slack", kGauge, r.min_slack, kG17},
+      {"max_violation", kGauge, r.max_violation, kG17},
+  };
 }
 
-void AppendU64(std::string& out, const char* key, uint64_t value) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu", key,
-                static_cast<unsigned long long>(value));
-  out += buf;
+std::vector<obs::Metric> AuditLevelMetrics(const LevelAudit& l) {
+  using enum obs::MetricKind;
+  using enum obs::NumberFormat;
+  return {
+      {"level", kJsonOnly, l.level},
+      {"nodes", kGauge, l.nodes},
+      {"weight", kGauge, l.weight, kG17},
+      {"expected_loss_euclidean", kGauge, l.expected_loss_euclidean, kG17},
+      {"expected_loss_squared", kGauge, l.expected_loss_squared, kG17},
+      {"adversary_error", kGauge, l.adversary_error, kG17},
+      {"conditional_entropy_bits", kGauge, l.conditional_entropy_bits, kG17},
+      {"worst_case_loss", kGauge, l.worst_case_loss, kG17},
+      {"min_slack", kGauge, l.min_slack, kG17},
+      {"max_violation", kGauge, l.max_violation, kG17},
+  };
 }
-
-}  // namespace
 
 std::string ReportJson(const RegionAuditReport& report) {
   std::string json = "{";
-  AppendU64(json, "height", static_cast<uint64_t>(report.height));
-  json += ',';
-  AppendU64(json, "audited_nodes", report.audited_nodes);
-  json += ',';
-  AppendU64(json, "skipped_nodes", report.skipped_nodes);
-  json += ',';
-  AppendU64(json, "cold_nodes_skipped", report.cold_nodes_skipped);
-  json += ',';
-  AppendDouble(json, "expected_loss_euclidean", report.expected_loss_euclidean);
-  json += ',';
-  AppendDouble(json, "expected_loss_squared", report.expected_loss_squared);
-  json += ',';
-  AppendDouble(json, "adversary_error", report.adversary_error);
-  json += ',';
-  AppendDouble(json, "conditional_entropy_bits",
-               report.conditional_entropy_bits);
-  json += ',';
-  AppendDouble(json, "worst_case_loss", report.worst_case_loss);
-  json += ',';
-  AppendDouble(json, "min_slack", report.min_slack);
-  json += ',';
-  AppendDouble(json, "max_violation", report.max_violation);
+  obs::AppendJson(json, AuditReportMetrics(report));
   json += ",\"levels\":[";
   for (size_t i = 0; i < report.levels.size(); ++i) {
-    const LevelAudit& level = report.levels[i];
-    if (i > 0) json += ',';
-    json += '{';
-    AppendU64(json, "level", static_cast<uint64_t>(level.level));
-    json += ',';
-    AppendU64(json, "nodes", level.nodes);
-    json += ',';
-    AppendDouble(json, "weight", level.weight);
-    json += ',';
-    AppendDouble(json, "expected_loss_euclidean",
-                 level.expected_loss_euclidean);
-    json += ',';
-    AppendDouble(json, "expected_loss_squared", level.expected_loss_squared);
-    json += ',';
-    AppendDouble(json, "adversary_error", level.adversary_error);
-    json += ',';
-    AppendDouble(json, "conditional_entropy_bits",
-                 level.conditional_entropy_bits);
-    json += ',';
-    AppendDouble(json, "worst_case_loss", level.worst_case_loss);
-    json += ',';
-    AppendDouble(json, "min_slack", level.min_slack);
-    json += ',';
-    AppendDouble(json, "max_violation", level.max_violation);
+    json += i == 0 ? "{" : ",{";
+    obs::AppendJson(json, AuditLevelMetrics(report.levels[i]));
     json += '}';
   }
   json += "]}";
@@ -414,56 +387,13 @@ std::string ReportJson(const RegionAuditReport& report) {
 std::string ReportPrometheus(const RegionAuditReport& report,
                              const std::string& prefix) {
   std::string text;
-  const auto gauge = [&](const char* name, double value) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "# TYPE %s%s gauge\n%s%s %.17g\n",
-                  prefix.c_str(), name, prefix.c_str(), name, value);
-    text += buf;
-  };
-  gauge("height", static_cast<double>(report.height));
-  gauge("audited_nodes", static_cast<double>(report.audited_nodes));
-  gauge("skipped_nodes", static_cast<double>(report.skipped_nodes));
-  gauge("cold_nodes_skipped", static_cast<double>(report.cold_nodes_skipped));
-  gauge("expected_loss_euclidean", report.expected_loss_euclidean);
-  gauge("expected_loss_squared", report.expected_loss_squared);
-  gauge("adversary_error", report.adversary_error);
-  gauge("conditional_entropy_bits", report.conditional_entropy_bits);
-  gauge("worst_case_loss", report.worst_case_loss);
-  gauge("min_slack", report.min_slack);
-  gauge("max_violation", report.max_violation);
-
-  static constexpr const char* kLevelFamilies[] = {
-      "nodes",           "weight",
-      "expected_loss_euclidean", "expected_loss_squared",
-      "adversary_error", "conditional_entropy_bits",
-      "worst_case_loss", "min_slack",
-      "max_violation"};
-  for (const char* family : kLevelFamilies) {
-    char head[160];
-    std::snprintf(head, sizeof(head), "# TYPE %slevel_%s gauge\n",
-                  prefix.c_str(), family);
-    text += head;
-    for (const LevelAudit& level : report.levels) {
-      double value = 0.0;
-      const std::string_view f = family;
-      if (f == "nodes") value = static_cast<double>(level.nodes);
-      else if (f == "weight") value = level.weight;
-      else if (f == "expected_loss_euclidean")
-        value = level.expected_loss_euclidean;
-      else if (f == "expected_loss_squared")
-        value = level.expected_loss_squared;
-      else if (f == "adversary_error") value = level.adversary_error;
-      else if (f == "conditional_entropy_bits")
-        value = level.conditional_entropy_bits;
-      else if (f == "worst_case_loss") value = level.worst_case_loss;
-      else if (f == "min_slack") value = level.min_slack;
-      else if (f == "max_violation") value = level.max_violation;
-      char line[200];
-      std::snprintf(line, sizeof(line), "%slevel_%s{level=\"%d\"} %.17g\n",
-                    prefix.c_str(), family, level.level, value);
-      text += line;
-    }
+  obs::AppendPrometheus(text, prefix, AuditReportMetrics(report), obs::kG17);
+  obs::LabelledMetrics levels;
+  for (const LevelAudit& level : report.levels) {
+    levels.emplace_back(std::to_string(level.level), AuditLevelMetrics(level));
   }
+  obs::AppendPrometheus(text, prefix + "level_", AuditLevelMetrics({}),
+                        "level", levels, obs::kG17);
   return text;
 }
 

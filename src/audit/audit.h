@@ -48,6 +48,7 @@
 #include "bundle/region_bundle.h"
 #include "core/location_sanitizer.h"
 #include "geo/point.h"
+#include "obs/exposition.h"
 
 namespace geopriv::audit {
 
@@ -164,25 +165,15 @@ RegionAuditReport AuditRegion(const core::LocationSanitizer& sanitizer,
 StatusOr<RegionAuditReport> AuditBundle(const bundle::RegionBundleView& view,
                                         const AuditOptions& options = {});
 
-// Stable key schema of ReportJson(), order-asserted by tests. Extend at
-// the end only (before "levels", which stays last), never rename.
-inline constexpr const char* kAuditReportJsonKeys[] = {
-    "height",          "audited_nodes",
-    "skipped_nodes",   "cold_nodes_skipped",
-    "expected_loss_euclidean", "expected_loss_squared",
-    "adversary_error", "conditional_entropy_bits",
-    "worst_case_loss", "min_slack",
-    "max_violation",   "levels"};
-inline constexpr const char* kAuditLevelJsonKeys[] = {
-    "level",           "nodes",
-    "weight",          "expected_loss_euclidean",
-    "expected_loss_squared",   "adversary_error",
-    "conditional_entropy_bits", "worst_case_loss",
-    "min_slack",       "max_violation"};
+// The audit scopes' rows (see obs/exposition.h): the report's members
+// before "levels" (which stays last), and one "levels" element / one
+// {level="L"} sample of each `level_` family. Doubles print %.17g in both
+// expositions, so equal reports serialize to equal bytes.
+std::vector<obs::Metric> AuditReportMetrics(const RegionAuditReport& r);
+std::vector<obs::Metric> AuditLevelMetrics(const LevelAudit& l);
 
-// One-line JSON object (key order = kAuditReportJsonKeys; doubles with
-// %.17g so equal reports serialize to equal bytes — the CLI's
-// bit-identity contract rides on this).
+// One-line JSON object: the AuditReportMetrics members, then "levels"
+// (AuditLevelMetrics objects) — the CLI's bit-identity contract.
 std::string ReportJson(const RegionAuditReport& report);
 
 // Prometheus text exposition of the region scalars plus per-level

@@ -33,7 +33,6 @@ MsmStats MultiStepMechanism::stats() const {
   for (const AtomicStats::Slot& slot : stats_->slots) {
     snapshot.lp_solves += slot.lp_solves.load(std::memory_order_relaxed);
     snapshot.lp_seconds += slot.lp_seconds.load(std::memory_order_relaxed);
-    snapshot.cache_hits += slot.cache_hits.load(std::memory_order_relaxed);
     snapshot.lp_pricing_seconds +=
         slot.lp_pricing_seconds.load(std::memory_order_relaxed);
     snapshot.lp_simplex_seconds +=
@@ -51,6 +50,7 @@ MsmStats MultiStepMechanism::stats() const {
     snapshot.fallthrough_levels +=
         slot.fallthrough_levels.load(std::memory_order_relaxed);
   }
+  snapshot.cache_hits = static_cast<int64_t>(cache_->hits());
   snapshot.cache_evictions = static_cast<int64_t>(cache_->evictions());
   snapshot.cache_bytes_resident =
       static_cast<int64_t>(cache_->bytes_resident());
@@ -137,14 +137,8 @@ MultiStepMechanism::NodeMechanism(spatial::NodeIndex node, int level,
     GEOPRIV_ASSIGN_OR_RETURN(auto built, BuildNodeMechanism(node, level));
     return NodeMechanismCache::MechanismPtr(std::move(built));
   }
-  bool hit = false;
-  auto result = cache_->GetOrCompute(
-      node, [&] { return BuildNodeMechanism(node, level); }, &hit);
-  if (hit) {
-    stats_->Local().cache_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (cache_hit != nullptr) *cache_hit = hit;
-  return result;
+  return cache_->GetOrCompute(
+      node, [&] { return BuildNodeMechanism(node, level); }, cache_hit);
 }
 
 StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k) const {

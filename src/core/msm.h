@@ -185,7 +185,6 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
     struct alignas(kCounterSlotAlign) Slot {
       std::atomic<int64_t> lp_solves{0};
       std::atomic<double> lp_seconds{0.0};
-      std::atomic<int64_t> cache_hits{0};
       std::atomic<double> lp_pricing_seconds{0.0};
       std::atomic<double> lp_simplex_seconds{0.0};
       std::atomic<double> lp_refactor_seconds{0.0};

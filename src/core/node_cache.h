@@ -122,6 +122,9 @@ class NodeMechanismCache {
     return lookups_.load(std::memory_order_relaxed);
   }
 
+  // GetOrCompute calls answered from a ready entry.
+  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+
   // Fraction of GetOrCompute calls answered from a ready entry.
   double hit_rate() const {
     const uint64_t lookups = lookups_.load(std::memory_order_relaxed);

@@ -220,4 +220,18 @@ TraceStats TraceRecorder::stats() const {
   return s;
 }
 
+std::vector<Metric> TraceMetrics(const TraceRecorder* recorder) {
+  const TraceStats t = recorder != nullptr ? recorder->stats() : TraceStats{};
+  return {
+      {"enabled", kJsonOnly, recorder != nullptr ? 1 : 0},
+      {"sample_one_in", kJsonOnly,
+       recorder != nullptr ? recorder->options().sample_one_in : 0u},
+      {"requests_started", kCounter, t.requests_started},
+      {"requests_retained", kCounter, t.requests_retained},
+      {"requests_forced", kCounter, t.requests_forced},
+      {"spans_committed", kCounter, t.spans_committed},
+      {"spans_dropped", kCounter, t.spans_dropped},
+  };
+}
+
 }  // namespace geopriv::obs

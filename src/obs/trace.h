@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "base/sharded_counter.h"
+#include "obs/exposition.h"
 
 namespace geopriv::obs {
 
@@ -339,6 +340,10 @@ class TraceRecorder {
   std::atomic<uint64_t> spans_committed_{0};
   std::atomic<uint64_t> spans_dropped_{0};
 };
+
+// The trace scope's rows (see obs/exposition.h); a null recorder
+// (tracing off) reports zeros with enabled = 0.
+std::vector<Metric> TraceMetrics(const TraceRecorder* recorder);
 
 }  // namespace geopriv::obs
 

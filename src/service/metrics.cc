@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <span>
 
 namespace geopriv::service {
 
@@ -65,18 +65,6 @@ double LatencyHistogram::Quantile(double q) const {
 Metrics::Metrics(int num_slots)
     : slots_(static_cast<size_t>(num_slots > 0 ? num_slots : 1)) {}
 
-uint64_t Metrics::latency_count() const {
-  uint64_t total = 0;
-  for (const Slot& s : slots_) total += s.latency.count();
-  return total;
-}
-
-double Metrics::latency_total_seconds() const {
-  double total = 0.0;
-  for (const Slot& s : slots_) total += s.latency.total_seconds();
-  return total;
-}
-
 MetricsSnapshot Metrics::Snapshot() const {
   MetricsSnapshot s;
   LatencyHistogram::BucketCounts buckets{};
@@ -134,171 +122,87 @@ MetricsSnapshot Metrics::Snapshot() const {
   return s;
 }
 
+std::vector<obs::Metric> ServiceMetrics(const MetricsSnapshot& s) {
+  using enum obs::MetricKind;
+  return {
+      {"requests_total", kCounter, s.requests_total},
+      {"requests_ok", kCounter, s.requests_ok},
+      {"requests_rejected", kCounter, s.requests_rejected},
+      {"requests_failed", kCounter, s.requests_failed},
+      {"fallbacks_total", kCounter, s.fallbacks_total},
+      {"fallbacks_deadline", kCounter, s.fallbacks_deadline},
+      {"fallbacks_mechanism", kCounter, s.fallbacks_mechanism},
+      {"deadline_overruns", kCounter, s.deadline_overruns},
+      {"latency_count", kJsonOnly, s.latency_count},
+      {"latency_p50_ms", kJsonOnly, s.latency_p50_ms},
+      {"latency_p90_ms", kJsonOnly, s.latency_p90_ms},
+      {"latency_p99_ms", kJsonOnly, s.latency_p99_ms},
+      {"latency_mean_ms", kJsonOnly, s.latency_mean_ms},
+      {"latency_sum_seconds", kJsonOnly, s.latency_sum_seconds},
+      {"bundle_loads", kCounter, s.bundle_loads},
+      {"bundle_load_seconds", kGauge, s.bundle_load_seconds},
+      {"bundle_bytes_mapped", kGauge, s.bundle_bytes_mapped},
+      {"plan_warm_at_startup", kGauge, s.plan_warm_at_startup},
+      {"audit_runs", kCounter, s.audit_runs},
+      {"audit_nodes_audited", kCounter, s.audit_nodes_audited},
+      {"audit_skipped_nodes", kCounter, s.audit_skipped_nodes},
+      {"audit_drift_events", kCounter, s.audit_drift_events},
+      {"audit_tasks_rejected", kCounter, s.audit_tasks_rejected},
+      {"audit_baseline_errors", kCounter, s.audit_baseline_errors},
+      {"audit_seconds", kGauge, s.audit_seconds},
+  };
+}
+
+// Rows before the latency arrays / histogram (latency rows are JSON-only).
+constexpr size_t kLatencyArraysAt = 14;
+
 std::string Metrics::ToJson() const {
   const MetricsSnapshot s = Snapshot();
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"requests_total\":%llu,\"requests_ok\":%llu,"
-      "\"requests_rejected\":%llu,\"requests_failed\":%llu,"
-      "\"fallbacks_total\":%llu,\"fallbacks_deadline\":%llu,"
-      "\"fallbacks_mechanism\":%llu,\"deadline_overruns\":%llu,"
-      "\"latency_count\":%llu,"
-      "\"latency_p50_ms\":%.6f,\"latency_p90_ms\":%.6f,"
-      "\"latency_p99_ms\":%.6f,\"latency_mean_ms\":%.6f}",
-      static_cast<unsigned long long>(s.requests_total),
-      static_cast<unsigned long long>(s.requests_ok),
-      static_cast<unsigned long long>(s.requests_rejected),
-      static_cast<unsigned long long>(s.requests_failed),
-      static_cast<unsigned long long>(s.fallbacks_total),
-      static_cast<unsigned long long>(s.fallbacks_deadline),
-      static_cast<unsigned long long>(s.fallbacks_mechanism),
-      static_cast<unsigned long long>(s.deadline_overruns),
-      static_cast<unsigned long long>(s.latency_count), s.latency_p50_ms,
-      s.latency_p90_ms, s.latency_p99_ms, s.latency_mean_ms);
-  std::string json = buf;
-  json.pop_back();  // drop '}' to append the histogram arrays
-  std::snprintf(buf, sizeof(buf), ",\"latency_sum_seconds\":%.6f",
-                s.latency_sum_seconds);
-  json += buf;
+  const std::vector<obs::Metric> rows = ServiceMetrics(s);
+  std::string json = "{";
+  obs::AppendJson(json, std::span(rows).first(kLatencyArraysAt));
   // Bucket upper bounds (seconds; the last bucket is open-ended, its bound
   // here is nominal) and the matching cumulative counts, whose last entry
   // equals latency_count.
   json += ",\"latency_bucket_le_s\":[";
   for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    std::snprintf(buf, sizeof(buf), "%s%.9g", i == 0 ? "" : ",",
-                  LatencyHistogram::BucketBound(i));
-    json += buf;
+    if (i > 0) json += ',';
+    obs::Value(LatencyHistogram::BucketBound(i)).AppendTo(json, obs::kG9);
   }
   json += "],\"latency_buckets_cumulative\":[";
   for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    std::snprintf(buf, sizeof(buf), "%s%llu", i == 0 ? "" : ",",
-                  static_cast<unsigned long long>(
-                      s.latency_buckets[static_cast<size_t>(i)]));
-    json += buf;
+    if (i > 0) json += ',';
+    json += std::to_string(s.latency_buckets[static_cast<size_t>(i)]);
   }
   json += "]";
-  std::snprintf(buf, sizeof(buf),
-                ",\"bundle_loads\":%llu,\"bundle_load_seconds\":%.6f,"
-                "\"bundle_bytes_mapped\":%llu,\"plan_warm_at_startup\":%llu",
-                static_cast<unsigned long long>(s.bundle_loads),
-                s.bundle_load_seconds,
-                static_cast<unsigned long long>(s.bundle_bytes_mapped),
-                static_cast<unsigned long long>(s.plan_warm_at_startup));
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                ",\"audit_runs\":%llu,\"audit_nodes_audited\":%llu,"
-                "\"audit_skipped_nodes\":%llu,\"audit_drift_events\":%llu,"
-                "\"audit_tasks_rejected\":%llu,\"audit_baseline_errors\":%llu,"
-                "\"audit_seconds\":%.6f}",
-                static_cast<unsigned long long>(s.audit_runs),
-                static_cast<unsigned long long>(s.audit_nodes_audited),
-                static_cast<unsigned long long>(s.audit_skipped_nodes),
-                static_cast<unsigned long long>(s.audit_drift_events),
-                static_cast<unsigned long long>(s.audit_tasks_rejected),
-                static_cast<unsigned long long>(s.audit_baseline_errors),
-                s.audit_seconds);
-  json += buf;
+  obs::AppendJson(json, std::span(rows).subspan(kLatencyArraysAt));
+  json += "}";
   return json;
 }
 
 std::string Metrics::ToPrometheus(const std::string& prefix) const {
   const MetricsSnapshot s = Snapshot();
+  const std::vector<obs::Metric> rows = ServiceMetrics(s);
   std::string out;
   out.reserve(4096);
-  char buf[192];
-  const auto counter = [&](const char* name, uint64_t value) {
-    out += "# TYPE " + prefix + name + " counter\n";
-    std::snprintf(buf, sizeof(buf), " %llu\n",
-                  static_cast<unsigned long long>(value));
-    out += prefix + name + buf;
-  };
-  counter("requests_total", s.requests_total);
-  counter("requests_ok_total", s.requests_ok);
-  counter("requests_rejected_total", s.requests_rejected);
-  counter("requests_failed_total", s.requests_failed);
-  counter("fallbacks_total", s.fallbacks_total);
-  counter("fallbacks_deadline_total", s.fallbacks_deadline);
-  counter("fallbacks_mechanism_total", s.fallbacks_mechanism);
-  counter("deadline_overruns_total", s.deadline_overruns);
-
+  obs::AppendPrometheus(out, prefix, std::span(rows).first(kLatencyArraysAt),
+                        obs::kFixed9);
   const std::string hist = prefix + "request_latency_seconds";
   out += "# TYPE " + hist + " histogram\n";
   // The top bucket is the histogram's overflow bucket, so its exposition
   // bound is +Inf (not the nominal BucketBound of the last slot).
   for (int i = 0; i < LatencyHistogram::kNumBuckets - 1; ++i) {
-    std::snprintf(buf, sizeof(buf), "_bucket{le=\"%.9g\"} %llu\n",
-                  LatencyHistogram::BucketBound(i),
-                  static_cast<unsigned long long>(
-                      s.latency_buckets[static_cast<size_t>(i)]));
-    out += hist + buf;
+    out += hist + "_bucket{le=\"";
+    obs::Value(LatencyHistogram::BucketBound(i)).AppendTo(out, obs::kG9);
+    out += "\"} " +
+           std::to_string(s.latency_buckets[static_cast<size_t>(i)]) + "\n";
   }
-  std::snprintf(buf, sizeof(buf), "_bucket{le=\"+Inf\"} %llu\n",
-                static_cast<unsigned long long>(s.latency_count));
-  out += hist + buf;
-  std::snprintf(buf, sizeof(buf), "_sum %.9f\n", s.latency_sum_seconds);
-  out += hist + buf;
-  std::snprintf(buf, sizeof(buf), "_count %llu\n",
-                static_cast<unsigned long long>(s.latency_count));
-  out += hist + buf;
-
-  counter("bundle_loads_total", s.bundle_loads);
-  const auto gauge = [&](const char* name, const char* fmt, auto value) {
-    out += "# TYPE " + prefix + name + " gauge\n";
-    std::snprintf(buf, sizeof(buf), fmt, value);
-    out += prefix + name + buf;
-  };
-  gauge("bundle_load_seconds", " %.9f\n", s.bundle_load_seconds);
-  gauge("bundle_bytes_mapped", " %llu\n",
-        static_cast<unsigned long long>(s.bundle_bytes_mapped));
-  gauge("plan_warm_at_startup", " %llu\n",
-        static_cast<unsigned long long>(s.plan_warm_at_startup));
-  counter("audit_runs_total", s.audit_runs);
-  counter("audit_nodes_audited_total", s.audit_nodes_audited);
-  counter("audit_skipped_nodes_total", s.audit_skipped_nodes);
-  counter("audit_drift_events_total", s.audit_drift_events);
-  counter("audit_tasks_rejected_total", s.audit_tasks_rejected);
-  counter("audit_baseline_errors_total", s.audit_baseline_errors);
-  gauge("audit_seconds", " %.9f\n", s.audit_seconds);
-  return out;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  const std::string count = std::to_string(s.latency_count);
+  out += hist + "_bucket{le=\"+Inf\"} " + count + "\n" + hist + "_sum ";
+  obs::Value(s.latency_sum_seconds).AppendTo(out, obs::kFixed9);
+  out += "\n" + hist + "_count " + count + "\n";
+  obs::AppendPrometheus(out, prefix, std::span(rows).subspan(kLatencyArraysAt),
+                        obs::kFixed9);
   return out;
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "base/sharded_counter.h"
+#include "obs/exposition.h"
 
 namespace geopriv::service {
 
@@ -109,25 +110,10 @@ struct MetricsSnapshot {
   double audit_seconds = 0.0;
 };
 
-// The stable key schema of Metrics::ToJson(), in emission order. This is
-// the one place the schema is defined; tests/metrics_test.cc asserts the
-// emitted JSON matches it. Dashboards may rely on both presence and
-// order — extend at the end only, never rename or reorder.
-inline constexpr const char* kMetricsJsonKeys[] = {
-    "requests_total",     "requests_ok",
-    "requests_rejected",  "requests_failed",
-    "fallbacks_total",    "fallbacks_deadline",
-    "fallbacks_mechanism", "deadline_overruns",
-    "latency_count",      "latency_p50_ms",
-    "latency_p90_ms",     "latency_p99_ms",
-    "latency_mean_ms",    "latency_sum_seconds",
-    "latency_bucket_le_s", "latency_buckets_cumulative",
-    "bundle_loads",       "bundle_load_seconds",
-    "bundle_bytes_mapped", "plan_warm_at_startup",
-    "audit_runs",         "audit_nodes_audited",
-    "audit_skipped_nodes", "audit_drift_events",
-    "audit_tasks_rejected", "audit_baseline_errors",
-    "audit_seconds"};
+// The service scope's rows (see obs/exposition.h), walked by ToJson() and
+// ToPrometheus(); the latency arrays (JSON) and histogram (Prometheus)
+// follow "latency_sum_seconds".
+std::vector<obs::Metric> ServiceMetrics(const MetricsSnapshot& s);
 
 class Metrics {
  public:
@@ -193,20 +179,16 @@ class Metrics {
 
   MetricsSnapshot Snapshot() const;
 
-  // The snapshot as a JSON object (one line, key order = kMetricsJsonKeys).
+  // The snapshot as a one-line JSON object (ServiceMetrics order).
   std::string ToJson() const;
 
-  // The snapshot in the Prometheus text exposition format: one counter
-  // family per request/fallback counter plus one cumulative histogram
+  // The snapshot in the Prometheus text exposition format: the
+  // ServiceMetrics families plus one cumulative histogram
   // (`<prefix>request_latency_seconds` with `le` buckets, _sum, _count).
   // `prefix` is prepended to every family name.
   std::string ToPrometheus(const std::string& prefix = "geopriv_") const;
 
   int num_slots() const { return static_cast<int>(slots_.size()); }
-
-  // Aggregates across slots (the per-slot histograms stay private).
-  uint64_t latency_count() const;
-  double latency_total_seconds() const;
 
  private:
   struct alignas(kCounterSlotAlign) Slot {
@@ -247,10 +229,6 @@ class Metrics {
   // Constructed once, never resized — atomics stay put.
   std::vector<Slot> slots_;
 };
-
-// Escapes `s` for embedding inside a JSON string literal: quote,
-// backslash, and control characters become their \-sequences.
-std::string JsonEscape(const std::string& s);
 
 }  // namespace geopriv::service
 

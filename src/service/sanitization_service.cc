@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -752,131 +751,107 @@ StatusOr<SanitizationService::RegionInfo> SanitizationService::GetRegionInfo(
   if (region == nullptr) {
     return Status::NotFound("unknown region '" + region_id + "'");
   }
+  const core::MultiStepMechanism& msm = region->sanitizer.mechanism();
   RegionInfo info;
   info.eps = region->sanitizer.epsilon();
   info.granularity = region->sanitizer.granularity();
   info.height = region->sanitizer.budget().height();
   info.leaf_cells_per_axis = region->leaf_cells_per_axis;
-  info.msm = region->sanitizer.mechanism().stats();
-  const core::NodeMechanismCache& cache =
-      region->sanitizer.mechanism().cache();
-  info.cache_size = region->sanitizer.mechanism().cache_size();
-  info.cache_bytes_resident = cache.bytes_resident();
-  info.cache_byte_budget = cache.byte_budget();
-  info.cache_evictions = cache.evictions();
-  info.cache_hit_rate = cache.hit_rate();
-  info.singleflight_waits = cache.singleflight_waits();
+  info.msm = msm.stats();
+  info.cache_size = msm.cache_size();
+  info.cache_byte_budget = msm.cache().byte_budget();
+  info.singleflight_waits = msm.cache().singleflight_waits();
   info.prewarmed_nodes = region->prewarmed_nodes;
   info.bundle_bytes_mapped = region->bundle_bytes_mapped;
   info.plan_warm_at_startup = region->plan_warm_at_startup;
+  const RegionAuditState& audit = *region->audit;
+  if (const auto report = audit.latest.load(std::memory_order_acquire)) {
+    info.audit = *report;
+  }
+  info.audit_runs = audit.runs.load(std::memory_order_relaxed);
+  info.audit_drift_events = audit.drift_events.load(std::memory_order_relaxed);
   return info;
+}
+
+std::vector<obs::Metric> RegionMetrics(
+    const SanitizationService::RegionInfo& r) {
+  using enum obs::MetricKind;
+  using enum obs::NumberFormat;
+  const audit::RegionAuditReport& a = r.audit;
+  std::vector<obs::Metric> rows = {
+      {"eps", kJsonOnly, r.eps},
+      {"height", kJsonOnly, r.height},
+      {"leaf_cells_per_axis", kJsonOnly, r.leaf_cells_per_axis},
+      {"lp_solves", kCounter, r.msm.lp_solves},
+      {"lp_seconds", kCounter, r.msm.lp_seconds},
+      {"lp_pricing_seconds", kJsonOnly, r.msm.lp_pricing_seconds},
+      {"lp_simplex_seconds", kJsonOnly, r.msm.lp_simplex_seconds},
+      {"lp_refactor_seconds", kCounter, r.msm.lp_refactor_seconds},
+      {"lp_violations", kJsonOnly, r.msm.lp_violations_found},
+      {"degraded_rows", kJsonOnly, r.msm.degraded_rows},
+      {"uniform_prior_fallbacks", kJsonOnly, r.msm.uniform_prior_fallbacks},
+      {"cache_hits", kCounter, r.msm.cache_hits},
+      {"cache_size", kGauge, r.cache_size},
+      {"cache_bytes_resident", kGauge, r.msm.cache_bytes_resident},
+      {"cache_byte_budget", kJsonOnly, r.cache_byte_budget},
+      {"cache_evictions", kCounter, r.msm.cache_evictions},
+      {"cache_hit_rate", kJsonOnly, r.msm.cache_hit_rate},
+      {"prewarmed_nodes", kJsonOnly, r.prewarmed_nodes},
+      {"singleflight_waits", kCounter, r.singleflight_waits},
+      {"plan_builds", kCounter, r.msm.plan_builds},
+      {"plan_levels", kJsonOnly, r.msm.plan_levels},
+      {"fallthrough_levels", kJsonOnly, r.msm.fallthrough_levels},
+      {"bundle_bytes_mapped", kGauge, r.bundle_bytes_mapped},
+      {"plan_warm_at_startup", kGauge, r.plan_warm_at_startup},
+      {"audit_runs", kCounter, r.audit_runs},
+      {"audit_expected_loss_euclidean", kGauge, a.expected_loss_euclidean,
+       kG9},
+      {"audit_expected_loss_squared", kGauge, a.expected_loss_squared, kG9},
+      {"audit_adversary_error", kGauge, a.adversary_error, kG9},
+      {"audit_conditional_entropy_bits", kGauge, a.conditional_entropy_bits,
+       kG9},
+      {"audit_worst_case_loss", kGauge, a.worst_case_loss, kG9},
+      {"audit_min_slack", kGauge, a.min_slack, kG9},
+      {"audit_max_violation", kGauge, a.max_violation, kG9},
+      {"audit_audited_nodes", kGauge, a.audited_nodes},
+      {"audit_skipped_nodes", kGauge, a.skipped_nodes},
+      {"audit_drift_events", kCounter, r.audit_drift_events},
+  };
+  // Region counters predate the _total convention and keep bare names.
+  for (obs::Metric& row : rows) row.family = row.key;
+  return rows;
+}
+
+obs::LabelledMetrics SanitizationService::RegionMetricRows(
+    const RegistrySnapshot& snap) const {
+  obs::LabelledMetrics regions;
+  for (const auto& [id, region] : snap.regions) {
+    // A region unregistered since `snap` was taken is simply left out.
+    if (auto info = GetRegionInfo(id); info.ok()) {
+      regions.emplace_back(id, RegionMetrics(*info));
+    }
+  }
+  std::sort(regions.begin(), regions.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return regions;
 }
 
 std::string SanitizationService::MetricsJson() const {
   const std::shared_ptr<const RegistrySnapshot> snap =
       snapshot_.load(std::memory_order_acquire);
-  char head[512];
-  std::snprintf(head, sizeof(head), ",\"snapshot_epoch\":%llu",
-                static_cast<unsigned long long>(snap->epoch));
-  std::string json = "{\"service\":" + metrics_.ToJson() + head;
-  // The trace object is always present (stable schema); with tracing off
-  // it is all zeros with enabled == 0.
-  const obs::TraceStats ts =
-      recorder_ != nullptr ? recorder_->stats() : obs::TraceStats{};
-  std::snprintf(
-      head, sizeof(head),
-      ",\"trace\":{\"enabled\":%d,\"sample_one_in\":%u,"
-      "\"requests_started\":%llu,\"requests_retained\":%llu,"
-      "\"requests_forced\":%llu,\"spans_committed\":%llu,"
-      "\"spans_dropped\":%llu}",
-      recorder_ != nullptr ? 1 : 0,
-      recorder_ != nullptr ? recorder_->options().sample_one_in : 0u,
-      static_cast<unsigned long long>(ts.requests_started),
-      static_cast<unsigned long long>(ts.requests_retained),
-      static_cast<unsigned long long>(ts.requests_forced),
-      static_cast<unsigned long long>(ts.spans_committed),
-      static_cast<unsigned long long>(ts.spans_dropped));
-  json += head;
-  json += ",\"regions\":{";
-  std::vector<std::pair<std::string, std::shared_ptr<Region>>> regions(
-      snap->regions.begin(), snap->regions.end());
-  std::sort(regions.begin(), regions.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  bool first = true;
-  for (const auto& [id, region] : regions) {
-    const core::MsmStats stats = region->sanitizer.mechanism().stats();
-    const auto& cache = region->sanitizer.mechanism().cache();
-    // The numeric tail has a fixed shape, so snprintf is safe for it; the
-    // id is arbitrary caller data and goes through JsonEscape into a
-    // growable string (a 400-char id with quotes must survive intact).
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"eps\":%.6f,\"height\":%d,\"leaf_cells_per_axis\":%d,"
-        "\"lp_solves\":%lld,\"lp_seconds\":%.6f,"
-        "\"lp_pricing_seconds\":%.6f,\"lp_simplex_seconds\":%.6f,"
-        "\"lp_refactor_seconds\":%.6f,"
-        "\"lp_violations\":%lld,\"degraded_rows\":%lld,"
-        "\"uniform_prior_fallbacks\":%lld,\"cache_hits\":%lld,"
-        "\"cache_size\":%zu,\"cache_bytes_resident\":%zu,"
-        "\"cache_byte_budget\":%zu,\"cache_evictions\":%llu,"
-        "\"cache_hit_rate\":%.6f,\"prewarmed_nodes\":%d,"
-        "\"singleflight_waits\":%llu,"
-        "\"plan_builds\":%lld,\"plan_levels\":%lld,"
-        "\"fallthrough_levels\":%lld,"
-        "\"bundle_bytes_mapped\":%llu,\"plan_warm_at_startup\":%llu",
-        region->sanitizer.epsilon(), region->sanitizer.budget().height(),
-        region->leaf_cells_per_axis,
-        static_cast<long long>(stats.lp_solves), stats.lp_seconds,
-        stats.lp_pricing_seconds, stats.lp_simplex_seconds,
-        stats.lp_refactor_seconds,
-        static_cast<long long>(stats.lp_violations_found),
-        static_cast<long long>(stats.degraded_rows),
-        static_cast<long long>(stats.uniform_prior_fallbacks),
-        static_cast<long long>(stats.cache_hits), cache.size(),
-        cache.bytes_resident(), cache.byte_budget(),
-        static_cast<unsigned long long>(cache.evictions()),
-        cache.hit_rate(), region->prewarmed_nodes,
-        static_cast<unsigned long long>(cache.singleflight_waits()),
-        static_cast<long long>(stats.plan_builds),
-        static_cast<long long>(stats.plan_levels),
-        static_cast<long long>(stats.fallthrough_levels),
-        static_cast<unsigned long long>(region->bundle_bytes_mapped),
-        static_cast<unsigned long long>(region->plan_warm_at_startup));
-    if (!first) json += ",";
-    first = false;
-    json += "\"" + JsonEscape(id) + "\":";
-    json += buf;
-    // Audit tail: all zeros until the first audit of the region publishes
-    // a report (stable schema either way).
-    const std::shared_ptr<const audit::RegionAuditReport> audit_report =
-        region->audit->latest.load(std::memory_order_acquire);
-    const audit::RegionAuditReport empty_report;
-    const audit::RegionAuditReport& ar =
-        audit_report != nullptr ? *audit_report : empty_report;
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\"audit_runs\":%llu,\"audit_expected_loss_euclidean\":%.9g,"
-        "\"audit_expected_loss_squared\":%.9g,\"audit_adversary_error\":%.9g,"
-        "\"audit_conditional_entropy_bits\":%.9g,"
-        "\"audit_worst_case_loss\":%.9g,\"audit_min_slack\":%.9g,"
-        "\"audit_max_violation\":%.9g,\"audit_audited_nodes\":%llu,"
-        "\"audit_skipped_nodes\":%llu,\"audit_drift_events\":%llu}",
-        static_cast<unsigned long long>(
-            region->audit->runs.load(std::memory_order_relaxed)),
-        ar.expected_loss_euclidean, ar.expected_loss_squared,
-        ar.adversary_error, ar.conditional_entropy_bits, ar.worst_case_loss,
-        ar.min_slack, ar.max_violation,
-        static_cast<unsigned long long>(ar.audited_nodes),
-        static_cast<unsigned long long>(ar.skipped_nodes),
-        static_cast<unsigned long long>(
-            region->audit->drift_events.load(std::memory_order_relaxed)));
-    json += buf;
+  std::string json = "{\"service\":" + metrics_.ToJson() +
+                     ",\"snapshot_epoch\":" + std::to_string(snap->epoch) +
+                     ",\"trace\":{";
+  obs::AppendJson(json, obs::TraceMetrics(recorder_.get()));
+  json += "},\"regions\":{";
+  for (const auto& [id, rows] : RegionMetricRows(*snap)) {
+    json += json.back() == '{' ? "\"" : ",\"";
+    json += obs::JsonEscape(id) + "\":{";
+    obs::AppendJson(json, rows);
+    json += "}";
   }
-  json += "}";
-  // The shards object is always present (stable schema); with routing off
-  // it is the empty table.
-  json += ",\"shards\":";
+  // With routing off, "shards" is the empty table (stable schema).
+  json += "},\"shards\":";
   json += router_ != nullptr
               ? router_->RoutingTableJson()
               : "{\"num_shards\":0,\"vnodes_per_shard\":0,\"requests\":[],"
@@ -885,189 +860,21 @@ std::string SanitizationService::MetricsJson() const {
   return json;
 }
 
-namespace {
-
-// Escapes a Prometheus label value: backslash, double quote, and newline
-// get backslash-escaped (the only three characters the text format
-// requires escaping).
-std::string PromLabelEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string SanitizationService::MetricsText() const {
-  std::string out = metrics_.ToPrometheus("geopriv_");
-  char buf[256];
-
   const std::shared_ptr<const RegistrySnapshot> snap =
       snapshot_.load(std::memory_order_acquire);
-  std::snprintf(buf, sizeof(buf),
-                "# TYPE geopriv_snapshot_epoch gauge\n"
-                "geopriv_snapshot_epoch %llu\n",
-                static_cast<unsigned long long>(snap->epoch));
-  out += buf;
-
+  std::string out = metrics_.ToPrometheus("geopriv_");
+  out += "# TYPE geopriv_snapshot_epoch gauge\ngeopriv_snapshot_epoch " +
+         std::to_string(snap->epoch) + "\n";
   if (recorder_ != nullptr) {
-    const obs::TraceStats ts = recorder_->stats();
-    const auto trace_counter = [&](const char* name, uint64_t value) {
-      std::snprintf(buf, sizeof(buf),
-                    "# TYPE geopriv_trace_%s counter\n"
-                    "geopriv_trace_%s %llu\n",
-                    name, name, static_cast<unsigned long long>(value));
-      out += buf;
-    };
-    trace_counter("requests_started_total", ts.requests_started);
-    trace_counter("requests_retained_total", ts.requests_retained);
-    trace_counter("requests_forced_total", ts.requests_forced);
-    trace_counter("spans_committed_total", ts.spans_committed);
-    trace_counter("spans_dropped_total", ts.spans_dropped);
+    obs::AppendPrometheus(out, "geopriv_trace_",
+                          obs::TraceMetrics(recorder_.get()), obs::kG9);
   }
-
-  if (router_ != nullptr) {
-    std::snprintf(buf, sizeof(buf),
-                  "# TYPE geopriv_shard_count gauge\n"
-                  "geopriv_shard_count %d\n"
-                  "# TYPE geopriv_shard_requests counter\n",
-                  router_->num_shards());
-    out += buf;
-    for (int s = 0; s < router_->num_shards(); ++s) {
-      std::snprintf(buf, sizeof(buf),
-                    "geopriv_shard_requests{shard=\"%d\"} %llu\n", s,
-                    static_cast<unsigned long long>(router_->requests(s)));
-      out += buf;
-    }
-    std::snprintf(
-        buf, sizeof(buf),
-        "# TYPE geopriv_shard_requests_cumulative_total counter\n"
-        "geopriv_shard_requests_cumulative_total %llu\n"
-        "# TYPE geopriv_shard_imbalance_ratio gauge\n"
-        "geopriv_shard_imbalance_ratio %.6f\n",
-        static_cast<unsigned long long>(router_->requests_total()),
-        router_->imbalance_ratio());
-    out += buf;
-  }
-
-  // Per-region gauges. One `# TYPE` header per family, then one sample
-  // per region, labelled with the (escaped) region id.
-  std::vector<std::pair<std::string, std::shared_ptr<Region>>> regions(
-      snap->regions.begin(), snap->regions.end());
-  std::sort(regions.begin(), regions.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  struct Family {
-    const char* name;
-    const char* type;
-  };
-  static constexpr Family kFamilies[] = {
-      {"region_lp_solves", "counter"},
-      {"region_lp_seconds", "counter"},
-      {"region_lp_refactor_seconds", "counter"},
-      {"region_cache_hits", "counter"},
-      {"region_cache_size", "gauge"},
-      {"region_cache_bytes_resident", "gauge"},
-      {"region_cache_evictions", "counter"},
-      {"region_singleflight_waits", "counter"},
-      {"region_plan_builds", "counter"},
-      {"region_bundle_bytes_mapped", "gauge"},
-      {"region_plan_warm_at_startup", "gauge"},
-      {"region_audit_runs", "counter"},
-      {"region_audit_expected_loss_euclidean", "gauge"},
-      {"region_audit_expected_loss_squared", "gauge"},
-      {"region_audit_adversary_error", "gauge"},
-      {"region_audit_conditional_entropy_bits", "gauge"},
-      {"region_audit_worst_case_loss", "gauge"},
-      {"region_audit_min_slack", "gauge"},
-      {"region_audit_max_violation", "gauge"},
-      {"region_audit_audited_nodes", "gauge"},
-      {"region_audit_skipped_nodes", "gauge"},
-      {"region_audit_drift_events", "counter"},
-  };
-  for (const Family& family : kFamilies) {
-    if (regions.empty()) break;
-    std::snprintf(buf, sizeof(buf), "# TYPE geopriv_%s %s\n", family.name,
-                  family.type);
-    out += buf;
-    for (const auto& [id, region] : regions) {
-      const core::MsmStats stats = region->sanitizer.mechanism().stats();
-      const auto& cache = region->sanitizer.mechanism().cache();
-      double value = 0.0;
-      const std::string name = family.name;
-      if (name == "region_lp_solves") {
-        value = static_cast<double>(stats.lp_solves);
-      } else if (name == "region_lp_seconds") {
-        value = stats.lp_seconds;
-      } else if (name == "region_lp_refactor_seconds") {
-        value = stats.lp_refactor_seconds;
-      } else if (name == "region_cache_hits") {
-        value = static_cast<double>(stats.cache_hits);
-      } else if (name == "region_cache_size") {
-        value = static_cast<double>(cache.size());
-      } else if (name == "region_cache_bytes_resident") {
-        value = static_cast<double>(cache.bytes_resident());
-      } else if (name == "region_cache_evictions") {
-        value = static_cast<double>(cache.evictions());
-      } else if (name == "region_singleflight_waits") {
-        value = static_cast<double>(cache.singleflight_waits());
-      } else if (name == "region_plan_builds") {
-        value = static_cast<double>(stats.plan_builds);
-      } else if (name == "region_bundle_bytes_mapped") {
-        value = static_cast<double>(region->bundle_bytes_mapped);
-      } else if (name == "region_plan_warm_at_startup") {
-        value = static_cast<double>(region->plan_warm_at_startup);
-      } else if (name.rfind("region_audit_", 0) == 0) {
-        const std::shared_ptr<const audit::RegionAuditReport> audit_report =
-            region->audit->latest.load(std::memory_order_acquire);
-        if (name == "region_audit_runs") {
-          value = static_cast<double>(
-              region->audit->runs.load(std::memory_order_relaxed));
-        } else if (name == "region_audit_drift_events") {
-          value = static_cast<double>(
-              region->audit->drift_events.load(std::memory_order_relaxed));
-        } else if (audit_report != nullptr) {
-          const audit::RegionAuditReport& ar = *audit_report;
-          if (name == "region_audit_expected_loss_euclidean") {
-            value = ar.expected_loss_euclidean;
-          } else if (name == "region_audit_expected_loss_squared") {
-            value = ar.expected_loss_squared;
-          } else if (name == "region_audit_adversary_error") {
-            value = ar.adversary_error;
-          } else if (name == "region_audit_conditional_entropy_bits") {
-            value = ar.conditional_entropy_bits;
-          } else if (name == "region_audit_worst_case_loss") {
-            value = ar.worst_case_loss;
-          } else if (name == "region_audit_min_slack") {
-            value = ar.min_slack;
-          } else if (name == "region_audit_max_violation") {
-            value = ar.max_violation;
-          } else if (name == "region_audit_audited_nodes") {
-            value = static_cast<double>(ar.audited_nodes);
-          } else if (name == "region_audit_skipped_nodes") {
-            value = static_cast<double>(ar.skipped_nodes);
-          }
-        }
-      }
-      // The id is arbitrary caller data: concatenate (no fixed buffer) so
-      // a long region id cannot truncate the sample line.
-      std::snprintf(buf, sizeof(buf), "\"} %.9g\n", value);
-      out += "geopriv_" + name + "{region=\"" + PromLabelEscape(id) + buf;
-    }
+  if (router_ != nullptr) out += router_->RoutingTablePrometheus();
+  const obs::LabelledMetrics regions = RegionMetricRows(*snap);
+  if (!regions.empty()) {
+    obs::AppendPrometheus(out, "geopriv_region_", RegionMetrics({}),
+                          "region", regions, obs::kG9);
   }
   return out;
 }

@@ -50,6 +50,7 @@
 #include "base/thread_pool.h"
 #include "core/location_sanitizer.h"
 #include "mechanisms/planar_laplace.h"
+#include "obs/exposition.h"
 #include "obs/trace.h"
 #include "service/metrics.h"
 #include "service/shard_router.h"
@@ -165,36 +166,6 @@ struct SanitizeResult {
   int worker_id = -1;
 };
 
-// The stable key schema of SanitizationService::MetricsJson(), defined
-// here in one place and asserted by tests/metrics_test.cc. Like
-// kMetricsJsonKeys (the schema of the nested "service" object), these may
-// be extended at the end only, never renamed or reordered.
-inline constexpr const char* kServiceMetricsJsonKeys[] = {
-    "service", "snapshot_epoch", "trace", "regions", "shards"};
-inline constexpr const char* kTraceMetricsJsonKeys[] = {
-    "enabled",           "sample_one_in",  "requests_started",
-    "requests_retained", "requests_forced", "spans_committed",
-    "spans_dropped"};
-inline constexpr const char* kRegionMetricsJsonKeys[] = {
-    "eps",           "height",
-    "leaf_cells_per_axis", "lp_solves",
-    "lp_seconds",    "lp_pricing_seconds",
-    "lp_simplex_seconds",  "lp_refactor_seconds",
-    "lp_violations", "degraded_rows",
-    "uniform_prior_fallbacks", "cache_hits",
-    "cache_size",    "cache_bytes_resident",
-    "cache_byte_budget",   "cache_evictions",
-    "cache_hit_rate",      "prewarmed_nodes",
-    "singleflight_waits",  "plan_builds",
-    "plan_levels",   "fallthrough_levels",
-    "bundle_bytes_mapped", "plan_warm_at_startup",
-    "audit_runs",    "audit_expected_loss_euclidean",
-    "audit_expected_loss_squared", "audit_adversary_error",
-    "audit_conditional_entropy_bits", "audit_worst_case_loss",
-    "audit_min_slack",     "audit_max_violation",
-    "audit_audited_nodes", "audit_skipped_nodes",
-    "audit_drift_events"};
-
 class SanitizationService {
  public:
   using Callback = std::function<void(const SanitizeResult&)>;
@@ -265,7 +236,7 @@ class SanitizationService {
   // destructor.
   void Shutdown();
 
-  // Cache/stat introspection for one region.
+  // One region's stats, the source of its RegionMetrics rows.
   struct RegionInfo {
     double eps = 0.0;
     int granularity = 0;
@@ -273,10 +244,7 @@ class SanitizationService {
     int leaf_cells_per_axis = 0;
     core::MsmStats msm;
     size_t cache_size = 0;
-    size_t cache_bytes_resident = 0;
     size_t cache_byte_budget = 0;
-    uint64_t cache_evictions = 0;
-    double cache_hit_rate = 0.0;
     uint64_t singleflight_waits = 0;
     // Nodes pre-solved at registration (0 when prewarm was off).
     int prewarmed_nodes = 0;
@@ -285,21 +253,25 @@ class SanitizationService {
     // were warm the instant the region went live.
     uint64_t bundle_bytes_mapped = 0;
     uint64_t plan_warm_at_startup = 0;
+    // Latest audit report (zero before the first audit), audits, drifts.
+    audit::RegionAuditReport audit;
+    uint64_t audit_runs = 0;
+    uint64_t audit_drift_events = 0;
   };
   StatusOr<RegionInfo> GetRegionInfo(const std::string& region_id) const;
 
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
 
-  // Service counters plus per-region cache stats, as one JSON object.
-  // Top-level key order = kServiceMetricsJsonKeys; each region object's
-  // key order = kRegionMetricsJsonKeys.
+  // One JSON object: "service" (ServiceMetrics), "snapshot_epoch",
+  // "trace" (obs::TraceMetrics), "regions" (a RegionMetrics object per
+  // id) and "shards" (ShardMetrics) — extended at the end only.
   std::string MetricsJson() const;
 
-  // The service counters in the Prometheus text exposition format:
-  // everything Metrics::ToPrometheus() emits, plus per-region gauges
-  // (labelled {region="<id>"}), trace-recorder counters, and the registry
-  // snapshot epoch. Family names carry the "geopriv_" prefix.
+  // The same in the Prometheus text format, families prefixed
+  // "geopriv_": Metrics::ToPrometheus(), the snapshot epoch, the trace
+  // counters (tracing on), the shard families (routing on) and the
+  // {region="<id>"}-labelled RegionMetrics families.
   std::string MetricsText() const;
 
   // Post-mortem trace dumps ("[]" / empty traceEvents when tracing is
@@ -373,6 +345,9 @@ class SanitizationService {
 
   explicit SanitizationService(const ServiceOptions& options);
 
+  // (id, RegionMetrics(GetRegionInfo(id))) per region of `snap`, by id.
+  obs::LabelledMetrics RegionMetricRows(const RegistrySnapshot& snap) const;
+
   // One atomic load, no locks — the per-request registry access.
   std::shared_ptr<Region> FindRegion(const std::string& region_id) const;
 
@@ -444,6 +419,12 @@ class SanitizationService {
   // Last member: destroyed (joined) first, while the state above is alive.
   std::unique_ptr<ThreadPool> pool_;
 };
+
+// The region scope's rows (see obs/exposition.h): each region object of
+// MetricsJson() and the {region="<id>"}-labelled geopriv_region_*
+// families of MetricsText().
+std::vector<obs::Metric> RegionMetrics(
+    const SanitizationService::RegionInfo& r);
 
 }  // namespace geopriv::service
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 namespace geopriv::service {
 
@@ -68,34 +69,67 @@ int ShardRouter::ShardFor(std::string_view region_id) const {
   return it->shard;
 }
 
-std::string ShardRouter::RoutingTableJson() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "{\"num_shards\":%d,\"vnodes_per_shard\":%d,\"requests\":[",
-                num_shards_, vnodes_per_shard_);
-  std::string json = buf;
-  uint64_t total = 0;
+ShardSnapshot ShardRouter::Snapshot() const {
+  ShardSnapshot snap;
+  snap.vnodes_per_shard = vnodes_per_shard_;
   uint64_t max_shard = 0;
-  for (int s = 0; s < num_shards_; ++s) {
-    const uint64_t r = requests(s);
-    total += r;
-    if (r > max_shard) max_shard = r;
-    std::snprintf(buf, sizeof(buf), "%s%llu", s == 0 ? "" : ",",
-                  static_cast<unsigned long long>(r));
-    json += buf;
+  for (const ShardCounters& counter : counters_) {
+    snap.requests.push_back(counter.requests.load(std::memory_order_relaxed));
+    snap.requests_total += snap.requests.back();
+    max_shard = std::max(max_shard, snap.requests.back());
   }
-  // One pass over the counters feeds the array, the total, and the
-  // imbalance ratio, so the three stay mutually consistent in the output
-  // even under concurrent recording.
-  const double imbalance =
-      total == 0 ? 0.0
-                 : static_cast<double>(max_shard) * num_shards_ /
-                       static_cast<double>(total);
-  std::snprintf(buf, sizeof(buf),
-                "],\"requests_total\":%llu,\"shard_imbalance_ratio\":%.6f}",
-                static_cast<unsigned long long>(total), imbalance);
-  json += buf;
+  if (snap.requests_total > 0) {
+    snap.imbalance_ratio = static_cast<double>(max_shard) * num_shards_ /
+                           static_cast<double>(snap.requests_total);
+  }
+  return snap;
+}
+
+std::vector<obs::Metric> ShardMetrics(const ShardSnapshot& s) {
+  using enum obs::MetricKind;
+  using enum obs::NumberFormat;
+  return {
+      {"num_shards", kGauge, s.requests.size(), kFixed6, "shard_count"},
+      {"vnodes_per_shard", kJsonOnly, s.vnodes_per_shard},
+      {"requests_total", kCounter, s.requests_total, kFixed6,
+       "shard_requests_cumulative_total"},
+      {"shard_imbalance_ratio", kGauge, s.imbalance_ratio},
+  };
+}
+
+// Rows before the per-shard requests array / labelled family.
+constexpr size_t kRequestsAt = 2;
+
+std::string ShardRouter::RoutingTableJson() const {
+  const ShardSnapshot snap = Snapshot();
+  const std::vector<obs::Metric> rows = ShardMetrics(snap);
+  std::string json = "{";
+  obs::AppendJson(json, std::span(rows).first(kRequestsAt));
+  json += ",\"requests\":[";
+  for (size_t s = 0; s < snap.requests.size(); ++s) {
+    if (s > 0) json += ',';
+    json += std::to_string(snap.requests[s]);
+  }
+  json += "]";
+  obs::AppendJson(json, std::span(rows).subspan(kRequestsAt));
+  json += "}";
   return json;
+}
+
+std::string ShardRouter::RoutingTablePrometheus() const {
+  const ShardSnapshot snap = Snapshot();
+  const std::vector<obs::Metric> rows = ShardMetrics(snap);
+  std::string text;
+  obs::AppendPrometheus(text, "geopriv_", std::span(rows).first(kRequestsAt),
+                        obs::kFixed6);
+  text += "# TYPE geopriv_shard_requests counter\n";
+  for (size_t s = 0; s < snap.requests.size(); ++s) {
+    text += "geopriv_shard_requests{shard=\"" + std::to_string(s) + "\"} " +
+            std::to_string(snap.requests[s]) + "\n";
+  }
+  obs::AppendPrometheus(text, "geopriv_",
+                        std::span(rows).subspan(kRequestsAt), obs::kFixed6);
+  return text;
 }
 
 }  // namespace geopriv::service

@@ -32,15 +32,24 @@
 #include <vector>
 
 #include "base/sharded_counter.h"
+#include "obs/exposition.h"
 
 namespace geopriv::service {
 
-// Stable key schema of ShardRouter::RoutingTableJson() (and of the
-// "shards" object in SanitizationService::MetricsJson()), in emission
-// order; order-asserted by tests. Extend at the end only.
-inline constexpr const char* kShardJsonKeys[] = {
-    "num_shards", "vnodes_per_shard", "requests", "requests_total",
-    "shard_imbalance_ratio"};
+// One pass over the router's counters, so the per-shard array, its total
+// and the imbalance ratio agree even under concurrent recording.
+struct ShardSnapshot {
+  int vnodes_per_shard = 0;
+  std::vector<uint64_t> requests;  // one count per shard
+  uint64_t requests_total = 0;
+  // Max per-shard count / (total / num_shards); 0 with no requests yet.
+  double imbalance_ratio = 0.0;
+};
+
+// The shard scope's rows (see obs/exposition.h), walked by
+// RoutingTableJson() and RoutingTablePrometheus(); the per-shard requests
+// (a JSON array, a {shard="s"}-labelled family) follow "vnodes_per_shard".
+std::vector<obs::Metric> ShardMetrics(const ShardSnapshot& s);
 
 class ShardRouter {
  public:
@@ -65,42 +74,18 @@ class ShardRouter {
         1, std::memory_order_relaxed);
   }
 
-  uint64_t requests(int shard) const {
-    if (shard < 0 || shard >= num_shards_) return 0;
-    return counters_[static_cast<size_t>(shard)].requests.load(
-        std::memory_order_relaxed);
-  }
-
-  // Sum of all per-shard counters (relaxed reads; counters may be a few
-  // events apart under concurrent recording, the standard trade).
-  uint64_t requests_total() const {
-    uint64_t total = 0;
-    for (int s = 0; s < num_shards_; ++s) total += requests(s);
-    return total;
-  }
-
-  // Load-skew gauge: max per-shard count divided by the perfectly even
-  // share (total / num_shards). 1.0 = perfectly balanced, num_shards =
-  // everything on one shard, 0 while no requests have been recorded.
-  double imbalance_ratio() const {
-    uint64_t total = 0;
-    uint64_t max_shard = 0;
-    for (int s = 0; s < num_shards_; ++s) {
-      const uint64_t r = requests(s);
-      total += r;
-      if (r > max_shard) max_shard = r;
-    }
-    if (total == 0) return 0.0;
-    return static_cast<double>(max_shard) * num_shards_ /
-           static_cast<double>(total);
-  }
+  ShardSnapshot Snapshot() const;
 
   int num_shards() const { return num_shards_; }
   int vnodes_per_shard() const { return vnodes_per_shard_; }
 
   // The routing table's shape plus the live per-shard request counts,
-  // cumulative total, and imbalance ratio. Key order = kShardJsonKeys.
+  // cumulative total, and imbalance ratio (ShardMetrics order).
   std::string RoutingTableJson() const;
+
+  // The same in the Prometheus text format: the geopriv_shard_* families
+  // of SanitizationService::MetricsText().
+  std::string RoutingTablePrometheus() const;
 
  private:
   // One ring point: a shard replicated at position `hash`.

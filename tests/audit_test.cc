@@ -34,13 +34,15 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// Same presence-and-order assertion the metrics schema tests use.
-template <size_t N>
-void ExpectKeysInOrder(const std::string& json, const char* const (&keys)[N],
+// Same presence-and-order assertion the metrics schema tests use: every
+// row's key appears in `json` as "key": at a strictly increasing position.
+void ExpectKeysInOrder(const std::string& json,
+                       const std::vector<obs::Metric>& rows,
                        size_t from = 0) {
   size_t pos = from;
-  for (const char* key : keys) {
-    const std::string quoted = std::string("\"") + key + "\":";
+  for (const obs::Metric& row : rows) {
+    const std::string key = row.key;
+    const std::string quoted = "\"" + key + "\":";
     const size_t at = json.find(quoted, pos);
     ASSERT_NE(at, std::string::npos)
         << "key '" << key << "' missing (or out of order) in " << json;
@@ -280,8 +282,8 @@ TEST(AuditRegionTest, ReportJsonAndPrometheusFollowTheSchema) {
   ASSERT_FALSE(report.levels.empty());
 
   const std::string json = ReportJson(report);
-  ExpectKeysInOrder(json, kAuditReportJsonKeys);
-  ExpectKeysInOrder(json, kAuditLevelJsonKeys,
+  ExpectKeysInOrder(json, AuditReportMetrics({}));
+  ExpectKeysInOrder(json, AuditLevelMetrics({}),
                     json.find("\"levels\":["));
   // Valid mechanisms: slack >= 0 up to LP tolerance, at region scope.
   EXPECT_GT(report.min_slack, -1e-6);
@@ -377,11 +379,12 @@ TEST(SanitizationServiceAuditTest, AuditRegionNowPublishesEverySurface) {
   ASSERT_TRUE((*service)->AuditRegionNow("austin").ok());
 
   const std::string json = (*service)->MetricsJson();
-  ExpectKeysInOrder(json, service::kRegionMetricsJsonKeys,
+  ExpectKeysInOrder(json, service::RegionMetrics({}),
                     json.find("\"regions\":"));
   EXPECT_NE(json.find("\"audit_runs\":1"), std::string::npos) << json;
   // Shards block keeps its schema even with routing off.
-  ExpectKeysInOrder(json, service::kShardJsonKeys, json.find("\"shards\":"));
+  ExpectKeysInOrder(json, service::ShardMetrics({}),
+                    json.find("\"shards\":"));
 
   const std::string text = (*service)->MetricsText();
   EXPECT_NE(text.find("geopriv_audit_runs_total 1"), std::string::npos);

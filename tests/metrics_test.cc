@@ -1,30 +1,44 @@
-// Tests for the service metrics surface: the stable JSON key schema
-// (kMetricsJsonKeys / kRegionMetricsJsonKeys are the one source of
-// truth), the cumulative histogram export, the Prometheus text format,
-// JsonEscape over the full control-character range, and the
-// QuantileFromBuckets estimator's monotonicity.
+// Tests for the service metrics surface: the stable key schema (the
+// ServiceMetrics / TraceMetrics / RegionMetrics / ShardMetrics tables are
+// the one source of truth), the cumulative histogram export, the
+// Prometheus text format, exact integer samples, the escapes, golden
+// bytes of every exposition, and the QuantileFromBuckets estimator's
+// monotonicity.
 
 #include "service/metrics.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
 #include "service/sanitization_service.h"
+#include "service/shard_router.h"
 
 namespace geopriv::service {
 namespace {
 
+// The JSON keys of a scope's metric rows, in order.
+std::vector<std::string> Keys(const std::vector<obs::Metric>& rows) {
+  std::vector<std::string> keys;
+  for (const obs::Metric& row : rows) keys.push_back(row.key);
+  return keys;
+}
+
 // Asserts every key in `keys` appears in `json` as "key": at a strictly
 // increasing position — presence and order in one pass.
-template <size_t N>
-void ExpectKeysInOrder(const std::string& json, const char* const (&keys)[N],
+void ExpectKeysInOrder(const std::string& json,
+                       const std::vector<std::string>& keys,
                        size_t from = 0) {
   size_t pos = from;
-  for (const char* key : keys) {
-    const std::string quoted = std::string("\"") + key + "\":";
+  for (const std::string& key : keys) {
+    const std::string quoted = "\"" + key + "\":";
     const size_t at = json.find(quoted, pos);
     ASSERT_NE(at, std::string::npos)
         << "key '" << key << "' missing (or out of order) in " << json;
@@ -37,7 +51,7 @@ TEST(MetricsSchemaTest, ToJsonEmitsExactlyTheDocumentedKeysInOrder) {
   metrics.RecordAccepted();
   metrics.RecordOk();
   metrics.RecordLatency(0.010);
-  ExpectKeysInOrder(metrics.ToJson(), kMetricsJsonKeys);
+  ExpectKeysInOrder(metrics.ToJson(), Keys(ServiceMetrics({})));
 }
 
 TEST(MetricsSchemaTest, RecordBundleLoadFlowsIntoSnapshotJsonAndText) {
@@ -54,7 +68,7 @@ TEST(MetricsSchemaTest, RecordBundleLoadFlowsIntoSnapshotJsonAndText) {
   EXPECT_EQ(s.plan_warm_at_startup, 42u);
 
   const std::string json = metrics.ToJson();
-  ExpectKeysInOrder(json, kMetricsJsonKeys);
+  ExpectKeysInOrder(json, Keys(ServiceMetrics({})));
   EXPECT_NE(json.find("\"bundle_loads\":2"), std::string::npos) << json;
   // The audit keys extended the schema past the bundle tail, so the
   // object continues after plan_warm_at_startup.
@@ -117,10 +131,11 @@ TEST(MetricsSchemaTest, ServiceMetricsJsonFollowsTheDocumentedSchema) {
   ASSERT_TRUE((*service)->RegisterRegion("austin", config).ok());
 
   const std::string json = (*service)->MetricsJson();
-  ExpectKeysInOrder(json, kServiceMetricsJsonKeys);
-  ExpectKeysInOrder(json, kTraceMetricsJsonKeys,
+  ExpectKeysInOrder(
+      json, {"service", "snapshot_epoch", "trace", "regions", "shards"});
+  ExpectKeysInOrder(json, Keys(obs::TraceMetrics(nullptr)),
                     json.find("\"trace\":"));
-  ExpectKeysInOrder(json, kRegionMetricsJsonKeys,
+  ExpectKeysInOrder(json, Keys(RegionMetrics({})),
                     json.find("\"regions\":"));
 }
 
@@ -213,7 +228,7 @@ TEST(MetricsSchemaTest, AuditCountersFlowIntoBothExpositions) {
   EXPECT_DOUBLE_EQ(s.audit_seconds, 0.75);
 
   const std::string json = metrics.ToJson();
-  ExpectKeysInOrder(json, kMetricsJsonKeys);
+  ExpectKeysInOrder(json, Keys(ServiceMetrics({})));
   EXPECT_NE(json.find("\"audit_runs\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"audit_drift_events\":1"), std::string::npos);
 
@@ -237,7 +252,7 @@ TEST(MetricsPrometheusTest, ShardRoutingSurfacesInBothExpositions) {
   ASSERT_TRUE(service.ok());
 
   const std::string json = (*service)->MetricsJson();
-  ExpectKeysInOrder(json, kShardJsonKeys, json.find("\"shards\":"));
+  ExpectKeysInOrder(json, Keys(ShardMetrics({})), json.find("\"shards\":"));
 
   const std::string text = (*service)->MetricsText();
   EXPECT_NE(text.find("geopriv_shard_count 4"), std::string::npos);
@@ -249,19 +264,48 @@ TEST(MetricsPrometheusTest, ShardRoutingSurfacesInBothExpositions) {
             std::string::npos);
 }
 
+TEST(MetricsPrometheusTest, RegionIntegerSamplesPrintExactly) {
+  // Past 1e9 a %.9g sample would round (1e+10); integer rows must keep
+  // every digit, in both expositions.
+  SanitizationService::RegionInfo info;
+  info.msm.cache_hits = 10000000009;
+  info.bundle_bytes_mapped = 1234567891;
+
+  std::string text;
+  obs::AppendPrometheus(text, "geopriv_region_", RegionMetrics({}), "region",
+                        {{"r", RegionMetrics(info)}}, obs::kG9);
+  EXPECT_NE(text.find("geopriv_region_cache_hits{region=\"r\"} "
+                      "10000000009\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("geopriv_region_bundle_bytes_mapped{region=\"r\"} "
+                      "1234567891\n"),
+            std::string::npos)
+      << text;
+
+  std::string json = "{";
+  obs::AppendJson(json, RegionMetrics(info));
+  EXPECT_NE(json.find("\"cache_hits\":10000000009,"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"bundle_bytes_mapped\":1234567891,"),
+            std::string::npos)
+      << json;
+}
+
 TEST(JsonEscapeTest, EscapesEveryControlCharacterAndJsonSpecials) {
   // The named short escapes.
-  EXPECT_EQ(JsonEscape("\""), "\\\"");
-  EXPECT_EQ(JsonEscape("\\"), "\\\\");
-  EXPECT_EQ(JsonEscape("\b"), "\\b");
-  EXPECT_EQ(JsonEscape("\f"), "\\f");
-  EXPECT_EQ(JsonEscape("\n"), "\\n");
-  EXPECT_EQ(JsonEscape("\r"), "\\r");
-  EXPECT_EQ(JsonEscape("\t"), "\\t");
+  EXPECT_EQ(obs::JsonEscape("\""), "\\\"");
+  EXPECT_EQ(obs::JsonEscape("\\"), "\\\\");
+  EXPECT_EQ(obs::JsonEscape("\b"), "\\b");
+  EXPECT_EQ(obs::JsonEscape("\f"), "\\f");
+  EXPECT_EQ(obs::JsonEscape("\n"), "\\n");
+  EXPECT_EQ(obs::JsonEscape("\r"), "\\r");
+  EXPECT_EQ(obs::JsonEscape("\t"), "\\t");
   // Every other control character becomes \u00XX — the whole range
   // 0x00..0x1F must come out escaped, nothing raw.
   for (int c = 0; c < 0x20; ++c) {
-    const std::string escaped = JsonEscape(std::string(1, static_cast<char>(c)));
+    const std::string escaped =
+        obs::JsonEscape(std::string(1, static_cast<char>(c)));
     ASSERT_GE(escaped.size(), 2u) << "control char " << c << " left raw";
     EXPECT_EQ(escaped[0], '\\') << "control char " << c;
     if (c != '\b' && c != '\f' && c != '\n' && c != '\r' && c != '\t') {
@@ -271,10 +315,10 @@ TEST(JsonEscapeTest, EscapesEveryControlCharacterAndJsonSpecials) {
     }
   }
   // Printable ASCII and high bytes (UTF-8 continuation range) pass through.
-  EXPECT_EQ(JsonEscape("plain text 123"), "plain text 123");
-  EXPECT_EQ(JsonEscape("\xc3\xa9"), "\xc3\xa9");
+  EXPECT_EQ(obs::JsonEscape("plain text 123"), "plain text 123");
+  EXPECT_EQ(obs::JsonEscape("\xc3\xa9"), "\xc3\xa9");
   // DEL (0x7F) is not a JSON control character and passes through.
-  EXPECT_EQ(JsonEscape("\x7f"), "\x7f");
+  EXPECT_EQ(obs::JsonEscape("\x7f"), "\x7f");
 }
 
 TEST(QuantileFromBucketsTest, MonotoneInQ) {
@@ -302,6 +346,122 @@ TEST(QuantileFromBucketsTest, EmptyBucketsYieldZeroForEveryQ) {
   for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
     EXPECT_EQ(LatencyHistogram::QuantileFromBuckets(counts, q), 0.0);
   }
+}
+
+// Golden expositions: the full bytes of every writer on inputs that hold
+// no timing and no LP output, so a changed key, family, number format or
+// escape shows up as a diff against tests/golden/. After an intended
+// schema change, rerun with GEOPRIV_UPDATE_GOLDEN=1 to rewrite the files.
+void ExpectGolden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(GEOPRIV_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("GEOPRIV_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  const std::string expected{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_EQ(actual, expected) << "exposition drifted from " << path;
+}
+
+TEST(MetricsGoldenTest, ServiceCounters) {
+  Metrics metrics(3);
+  // A distinct count per counter, so two swapped rows change the bytes.
+  const auto repeat = [](int n, const auto& record) {
+    for (int i = 0; i < n; ++i) record(i % 3);
+  };
+  repeat(23, [&](int slot) { metrics.RecordAccepted(slot); });
+  repeat(13, [&](int slot) { metrics.RecordOk(slot); });
+  repeat(17, [&](int slot) { metrics.RecordRejected(slot); });
+  repeat(1, [&](int slot) { metrics.RecordFailed(slot); });
+  repeat(3, [&](int slot) { metrics.RecordDeadlineFallback(slot); });
+  repeat(5, [&](int slot) { metrics.RecordMechanismFallback(slot); });
+  repeat(4, [&](int slot) { metrics.RecordDeadlineOverrun(slot); });
+  for (const double seconds : {0.5e-6, 0.001, 0.004, 0.25, 2.0, 150.0}) {
+    metrics.RecordLatency(seconds, /*slot=*/1);
+  }
+  metrics.RecordBundleLoad(0.25, 1 << 20, 21, /*slot=*/0);
+  metrics.RecordBundleLoad(0.5, 3 << 20, 10, /*slot=*/2);
+  repeat(9, [&](int slot) {
+    metrics.RecordAuditRun(11, slot + 1, 0.125, slot);
+  });
+  repeat(14, [&](int slot) { metrics.RecordAuditDrift(slot); });
+  repeat(15, [&](int slot) { metrics.RecordAuditTaskRejected(slot); });
+  repeat(16, [&](int slot) { metrics.RecordAuditBaselineError(slot); });
+
+  ExpectGolden("metrics.json", metrics.ToJson());
+  ExpectGolden("metrics.prom", metrics.ToPrometheus("geopriv_"));
+}
+
+TEST(MetricsGoldenTest, RoutingTable) {
+  ShardRouter router(4, 8);
+  for (const auto& [shard, n] : {std::pair{0, 5}, {2, 7}, {3, 1}}) {
+    for (int i = 0; i < n; ++i) router.RecordRequest(shard);
+  }
+  ExpectGolden("routing_table.json", router.RoutingTableJson());
+}
+
+TEST(MetricsGoldenTest, AuditReport) {
+  audit::RegionAuditReport report;
+  report.height = 2;
+  report.audited_nodes = 10;
+  report.skipped_nodes = 1;
+  report.cold_nodes_skipped = 3;
+  report.expected_loss_euclidean = 0.1;
+  report.expected_loss_squared = 1.0 / 3.0;
+  report.adversary_error = 2.5e-3;
+  report.conditional_entropy_bits = 3.25;
+  report.worst_case_loss = 0.75;
+  report.min_slack = 1e-12;
+  report.max_violation = 0.0;
+  for (int level = 1; level <= 2; ++level) {
+    audit::LevelAudit l;
+    l.level = level;
+    l.nodes = level == 1 ? 1 : 9;
+    l.weight = 1.0 - 0.001 * level;
+    l.expected_loss_euclidean = 0.05 * level;
+    l.expected_loss_squared = 0.01 / level;
+    l.adversary_error = 1.0 / 7.0 + level;
+    l.conditional_entropy_bits = 1.5 * level;
+    l.worst_case_loss = 0.3 + level;
+    l.min_slack = 2e-9 * level;
+    l.max_violation = 1e-15 * level;
+    report.levels.push_back(l);
+  }
+  ExpectGolden("audit_report.json", audit::ReportJson(report));
+  ExpectGolden("audit_report.prom", audit::ReportPrometheus(report));
+}
+
+TEST(MetricsGoldenTest, TracedShardedServiceWithTwoIdleRegions) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.trace.sample_one_in = 1;
+  options.num_shards = 3;
+  auto service = SanitizationService::Create(options);
+  ASSERT_TRUE(service.ok());
+  RegionConfig config;
+  config.min_lat = 30.19;
+  config.min_lon = -97.87;
+  config.max_lat = 30.37;
+  config.max_lon = -97.66;
+  config.eps = 0.5;
+  config.granularity = 3;
+  config.prior_granularity = 16;
+  ASSERT_TRUE((*service)->RegisterRegion("austin", config).ok());
+  config.eps = 1.25;
+  config.granularity = 2;
+  config.cache_byte_budget = 4096;
+  ASSERT_TRUE((*service)->RegisterRegion("a\"b\\c\nd", config).ok());
+
+  ExpectGolden("service_traced.json", (*service)->MetricsJson());
+  ExpectGolden("service_traced.prom", (*service)->MetricsText());
+}
+
+TEST(MetricsGoldenTest, DefaultServiceWithNoRegions) {
+  auto service = SanitizationService::Create(ServiceOptions{});
+  ASSERT_TRUE(service.ok());
+  ExpectGolden("service_default.json", (*service)->MetricsJson());
+  ExpectGolden("service_default.prom", (*service)->MetricsText());
 }
 
 TEST(QuantileFromBucketsTest, SingleBucketInterpolatesWithinBounds) {

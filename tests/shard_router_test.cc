@@ -72,12 +72,11 @@ TEST(ShardRouterTest, CountersTrackRecordedRequests) {
   ShardRouter router(4, 16);
   const int shard = router.ShardFor("hot-region");
   for (int i = 0; i < 5; ++i) router.RecordRequest(shard);
-  EXPECT_EQ(router.requests(shard), 5u);
-  // Out-of-range records and reads are ignored, not UB.
+  EXPECT_EQ(router.Snapshot().requests[static_cast<size_t>(shard)], 5u);
+  // Out-of-range records are ignored, not UB.
   router.RecordRequest(-1);
   router.RecordRequest(99);
-  EXPECT_EQ(router.requests(-1), 0u);
-  EXPECT_EQ(router.requests(99), 0u);
+  EXPECT_EQ(router.Snapshot().requests_total, 5u);
 
   const std::string json = router.RoutingTableJson();
   EXPECT_NE(json.find("\"num_shards\":4"), std::string::npos) << json;
@@ -94,28 +93,28 @@ TEST(ShardRouterTest, CountersTrackRecordedRequests) {
 
 TEST(ShardRouterTest, TotalsAndImbalanceTrackTheCounters) {
   ShardRouter router(4, 16);
-  EXPECT_EQ(router.requests_total(), 0u);
-  EXPECT_DOUBLE_EQ(router.imbalance_ratio(), 0.0);  // no traffic yet
+  EXPECT_EQ(router.Snapshot().requests_total, 0u);
+  EXPECT_DOUBLE_EQ(router.Snapshot().imbalance_ratio, 0.0);  // no traffic yet
 
   // Perfectly even traffic: ratio exactly 1.
   for (int s = 0; s < 4; ++s) {
     for (int i = 0; i < 10; ++i) router.RecordRequest(s);
   }
-  EXPECT_EQ(router.requests_total(), 40u);
-  EXPECT_DOUBLE_EQ(router.imbalance_ratio(), 1.0);
+  EXPECT_EQ(router.Snapshot().requests_total, 40u);
+  EXPECT_DOUBLE_EQ(router.Snapshot().imbalance_ratio, 1.0);
 
   // Pile everything extra onto one shard: max/mean grows accordingly.
   for (int i = 0; i < 40; ++i) router.RecordRequest(2);
-  EXPECT_EQ(router.requests_total(), 80u);
-  EXPECT_DOUBLE_EQ(router.imbalance_ratio(), 50.0 * 4 / 80.0);
+  EXPECT_EQ(router.Snapshot().requests_total, 80u);
+  EXPECT_DOUBLE_EQ(router.Snapshot().imbalance_ratio, 50.0 * 4 / 80.0);
 
   const std::string json = router.RoutingTableJson();
   // Key presence and order = the documented schema.
   size_t pos = 0;
-  for (const char* key : kShardJsonKeys) {
-    const std::string quoted = std::string("\"") + key + "\":";
+  for (const obs::Metric& row : ShardMetrics({})) {
+    const std::string quoted = std::string("\"") + row.key + "\":";
     const size_t at = json.find(quoted, pos);
-    ASSERT_NE(at, std::string::npos) << key << " missing in " << json;
+    ASSERT_NE(at, std::string::npos) << row.key << " missing in " << json;
     pos = at + quoted.size();
   }
   EXPECT_NE(json.find("\"requests_total\":80"), std::string::npos) << json;
