@@ -3,8 +3,10 @@
 // pipeline must produce *exactly* the serial matrix), the pricing-vs-
 // simplex wall-clock split, prewarm fan-out wall-clock at 1/2/4/8
 // threads, and an honest record of the large-n attempt (n >= 400 exceeds
-// the revised simplex's dense-basis row cap, so it cannot be timed — the
-// bench reports the failure instead of silently shrinking the instance).
+// the revised simplex's basis row cap, so it cannot be timed — the bench
+// reports the failure instead of silently shrinking the instance). Only
+// the pricing scan and the tables fan out; the simplex is serial, so the
+// simplex share of a Create does not shrink with threads.
 // Results go to stdout as a table and to --json (default BENCH_lp.json).
 //
 // Flags:
@@ -209,7 +211,7 @@ int Main(int argc, char** argv) {
       "  ],\n  \"large_n\": {\"n\": %d, \"ok\": %s,"
       " \"seconds\": %.4f, \"status\": \"%s\"},\n"
       "  \"note\": \"speedups reflect this machine's core count; the "
-      "large-n instance needs an n^2-row dense basis beyond "
+      "large-n instance needs an n^2-row basis beyond "
       "max_basis_rows and is recorded as the failure it is\"\n}\n",
       large_g * large_g, large_opt.ok() ? "true" : "false", large_seconds,
       large_opt.ok() ? "solved" : large_opt.status().ToString().c_str());

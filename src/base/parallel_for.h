@@ -12,7 +12,7 @@
 //    pool) is safe for the same reason.
 //
 // This is the fan-out primitive of the parallel LP construction pipeline
-// (pricing slices, cost tables, simplex dense kernels, row samplers).
+// (pricing slices, cost tables, row samplers).
 
 #ifndef GEOPRIV_BASE_PARALLEL_FOR_H_
 #define GEOPRIV_BASE_PARALLEL_FOR_H_

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <vector>
 
-#include "base/check.h"
-#include "base/parallel_for.h"
 #include "base/stopwatch.h"
-#include "base/thread_pool.h"
 
 namespace geopriv::lp {
 
@@ -16,27 +13,47 @@ namespace {
 
 constexpr double kPivotTol = 1e-9;
 constexpr double kZeroTol = 1e-11;
+// A factorization pivot at or below this magnitude means the basis is
+// numerically singular.
+constexpr double kSingularTol = 1e-12;
+// Eta entries at or below this magnitude are roundoff and are dropped.
+constexpr double kDropTol = 1e-14;
 // Consecutive degenerate pivots before switching to Bland's rule.
 constexpr int kDegenerateLimit = 200;
-// Element operations below which a dense kernel runs inline: the fan-out
-// dispatch costs tens of microseconds, so only O(m^2) work on large bases
-// is worth shipping to the pool.
-constexpr size_t kMinParallelWork = size_t{1} << 17;
+// Eta updates between refactorizations. A refactorization costs about as
+// much as a few pivots (the basis is nearly triangular), while every eta
+// lengthens each FTRAN and BTRAN, so short runs are cheapest. The cold
+// retry after numerical trouble refactorizes more often still.
+constexpr int kRefactorPivots = 32;
+constexpr int kRetryRefactorPivots = 8;
 
-struct SparseEntry {
-  int row;
-  double value;
-};
+// Initial nonbasic value for a variable given its bounds.
+double InitialValue(double lb, double ub) {
+  if (std::isfinite(lb)) return lb;
+  if (std::isfinite(ub)) return ub;
+  return 0.0;
+}
+
+VarStatus InitialStatus(double lb, double ub) {
+  if (std::isfinite(lb)) return VarStatus::kAtLower;
+  if (std::isfinite(ub)) return VarStatus::kAtUpper;
+  return VarStatus::kFree;
+}
 
 // Internal solver state for one Solve() call.
+//
+// The constraint matrix (structural columns, then one slack per row, then
+// phase-1 artificials) is held column-wise in flat CSC arrays, plus a
+// row-wise copy for computing pivot rows. The basis B is held as a sparse
+// LU factorization P B Q = L U of the basis at the last refactorization,
+// times a product of eta matrices, one per pivot since then.
 class Core {
  public:
-  Core(const Model& model, const SolverOptions& options)
+  Core(const Model& model, const SolverOptions& options, int refactor_pivots)
       : model_(model),
         options_(options),
         m_(model.num_constraints()),
-        pool_(options.pool),
-        parallelism_(EffectiveParallelism(options.pool, options.threads)) {}
+        refactor_pivots_(refactor_pivots) {}
 
   LpSolution Run(const Basis* warm, Basis* out_basis);
 
@@ -44,95 +61,167 @@ class Core {
   enum class StepResult { kOptimal, kUnbounded, kContinue, kSingular };
 
   void BuildColumns();
-  bool ColdStart();
+  void BuildRowCopy();
+  void ColdStart();
   bool TryWarmStart(const Basis& warm);
+
+  // Factors the current basis and recomputes the basic values. Returns
+  // false if the basis is numerically singular.
   bool Refactorize();
+  bool Factor();
+  int Reach(int col);
   void ComputeBasicValues();
-  StepResult Iterate(const std::vector<double>& cost, bool bland);
-  void ComputeDuals(const std::vector<double>& cost,
-                    std::vector<double>* pi) const;
+  // Recomputes every reduced cost from fresh duals, then prices.
+  void ComputeReducedCosts(const std::vector<double>& cost);
+
+  // Solves B x = v in place: v enters indexed by row and leaves indexed
+  // by basis position.
+  void Ftran(std::vector<double>& v);
+  // Solves B' y = v in place: v enters indexed by basis position and
+  // leaves indexed by row.
+  void Btran(std::vector<double>& v);
+  void AppendEta(int r, const std::vector<double>& w);
+
+  // Runs simplex pivots on `cost` until optimal, unbounded or a limit.
+  SolveStatus Optimize(const std::vector<double>& cost);
+  StepResult Iterate(bool bland, double* objective_delta);
+  // Direction the variable j would move in to improve the objective (+1
+  // up, -1 down), or 0 if it is not eligible to enter.
+  double Direction(int j) const;
+  void SetMoves(int j);
+  // Applies the pivot row held in alpha_ to the reduced costs (d_j -=
+  // theta alpha_j) and the Devex weights (raised to alpha_j^2
+  // devex_scale), zeroing alpha_, then picks the next entering candidates.
+  // Both are sequential sweeps over every column; the update also touches
+  // basic and fixed columns, whose values are never read, so that it
+  // needs no branches.
+  void UpdateAndPrice(double theta, double devex_scale);
   double Objective(const std::vector<double>& cost) const;
+  void ResetDevex() { devex_.assign(NumVars(), 1.0); }
 
-  // Runs fn(lo, hi) over contiguous sub-ranges of [0, items), fanned
-  // across the options' pool when `work` (element operations) is large
-  // enough to amortize the dispatch; a single inline fn(0, items) call
-  // otherwise. Because chunks are contiguous and every output element is
-  // produced by exactly one chunk in its serial iteration order, the
-  // parallel result is bit-identical to the serial one.
-  template <typename Fn>
-  void ParallelRanges(int items, size_t work, const Fn& fn) const {
-    if (pool_ == nullptr || parallelism_ <= 1 || items <= 1 ||
-        work < kMinParallelWork) {
-      fn(0, items);
-      return;
-    }
-    const int chunks = std::min(items, parallelism_);
-    ParallelChunks(pool_, parallelism_, chunks, [&](int c) {
-      const int base = items / chunks;
-      const int rem = items % chunks;
-      const int lo = c * base + std::min(c, rem);
-      fn(lo, lo + base + (c < rem ? 1 : 0));
-    });
-  }
-
-  int NumVars() const { return static_cast<int>(cols_.size()); }
+  int NumVars() const { return static_cast<int>(col_start_.size()) - 1; }
 
   const Model& model_;
   const SolverOptions& options_;
   const int m_;
-  ThreadPool* const pool_;
-  const int parallelism_;
+  const int refactor_pivots_;
+  // Set when a pivot's FTRAN and BTRAN disagree on the pivot element:
+  // the factors have lost accuracy, so refactorize before the next pivot.
+  bool inaccurate_ = false;
   int n_structural_ = 0;
   int n_slack_end_ = 0;  // structural + slack count (artificials follow)
 
-  std::vector<std::vector<SparseEntry>> cols_;
+  // Constraint matrix, column-wise and row-wise.
+  std::vector<int> col_start_;
+  std::vector<int> col_row_;
+  std::vector<double> col_value_;
+  std::vector<int> row_start_;
+  std::vector<int> row_col_;
+  std::vector<double> row_value_;
   std::vector<double> lb_;
   std::vector<double> ub_;
   std::vector<double> rhs_;
 
-  std::vector<int> basis_;          // var index basic in each row
+  std::vector<int> basis_;          // var index basic in each position
   std::vector<VarStatus> status_;   // per variable
   std::vector<double> x_;           // per variable
-  std::vector<double> binv_;        // m x m row-major B^{-1}
-  int pivots_since_refactor_ = 0;
   int iterations_ = 0;
   int refactorizations_ = 0;
   double refactor_seconds_ = 0.0;
   Stopwatch stopwatch_;
 
-  // Scratch buffers reused across iterations.
-  std::vector<double> pi_;
-  std::vector<double> w_;
-  // Devex reference weights (Forrest-Goldfarb), one per variable. Reset to
-  // 1 on (re)factorization; grown multiplicatively on pivots. Pricing picks
-  // the eligible column maximizing d_j^2 / weight_j, which approximates
-  // steepest-edge at negligible cost and cuts the iteration count several
-  // fold on degenerate instances versus Dantzig pricing.
-  std::vector<double> devex_;
-  // Scratch for ComputeDuals: (row, basic cost) pairs in row order.
-  mutable std::vector<std::pair<int, double>> active_rows_;
+  // LU factors in pivot order: step k pivoted on row lu_row_[k] of the
+  // basis column at position lu_col_[k]. L is unit lower triangular and U
+  // upper triangular, both stored by column without the diagonal, with
+  // row indices in pivot order.
+  std::vector<int> lu_row_;
+  std::vector<int> lu_col_;
+  std::vector<int> l_start_;
+  std::vector<int> l_index_;
+  std::vector<double> l_value_;
+  std::vector<int> u_start_;
+  std::vector<int> u_index_;
+  std::vector<double> u_value_;
+  std::vector<double> u_diag_;
+  // Eta file: pivot e replaced basis position eta_row_[e] by a column
+  // whose FTRAN had eta_pivot_[e] there and the listed entries elsewhere.
+  std::vector<int> eta_row_;
+  std::vector<double> eta_pivot_;
+  std::vector<int> eta_start_;
+  std::vector<int> eta_index_;
+  std::vector<double> eta_value_;
 
-  void ResetDevex() { devex_.assign(NumVars(), 1.0); }
+  // Factorization scratch: row -> pivot step (-1 while unpivoted), the
+  // depth-first search of Reach, and a dense column accumulator.
+  std::vector<int> pinv_;
+  std::vector<int> reach_;
+  std::vector<int> stack_;
+  std::vector<int> resume_;
+  std::vector<int> row_mark_;
+  int row_stamp_ = 0;
+  std::vector<double> work_;
+
+  // Reduced cost per nonbasic variable, kept current by the pivot-row
+  // update and recomputed at each refactorization.
+  std::vector<double> d_;
+  // Per variable: bit 0 set if it may increase (nonbasic at its lower
+  // bound, or free), bit 1 if it may decrease (at its upper bound, or
+  // free); 0 for basic and fixed variables.
+  std::vector<uint8_t> moves_;
+  // The entering variable under Devex (largest d_j^2 / weight_j, ties to
+  // the lowest index) and under Bland's rule (lowest eligible index), as
+  // of the last UpdateAndPrice; -1 when no variable is eligible.
+  int devex_enter_ = -1;
+  int bland_enter_ = -1;
+  // Devex reference weights (Forrest-Goldfarb), one per variable. Reset
+  // to 1 at the start and on runaway growth; grown multiplicatively on
+  // pivots. Pricing picks the eligible column maximizing d_j^2 / weight_j,
+  // which approximates steepest-edge at negligible cost and cuts the
+  // iteration count several fold on degenerate instances versus Dantzig
+  // pricing.
+  std::vector<double> devex_;
+
+  // Per-pivot scratch: the entering column w = B^{-1} a_q, the pivot row
+  // rho = B^{-T} e_r of the inverse, and alpha_j = rho' a_j per column
+  // (all zero between pivots).
+  std::vector<double> w_;
+  std::vector<double> rho_;
+  std::vector<double> alpha_;
 };
 
 void Core::BuildColumns() {
   const int n = model_.num_variables();
   n_structural_ = n;
-  cols_.assign(n + m_, {});
+  n_slack_end_ = n + m_;
   lb_.resize(n + m_);
   ub_.resize(n + m_);
   rhs_.resize(m_);
+  col_start_.assign(n + m_ + 1, 0);
+  for (int i = 0; i < m_; ++i) {
+    for (const Coefficient& t : model_.row(i)) ++col_start_[t.var + 1];
+    ++col_start_[n + i + 1];
+  }
+  for (int j = 0; j < n + m_; ++j) col_start_[j + 1] += col_start_[j];
+  col_row_.resize(col_start_.back());
+  col_value_.resize(col_start_.back());
+  std::vector<int> next(col_start_.begin(), col_start_.end() - 1);
+  for (int i = 0; i < m_; ++i) {
+    for (const Coefficient& t : model_.row(i)) {
+      const int p = next[t.var]++;
+      col_row_[p] = i;
+      col_value_[p] = t.value;
+    }
+    const int p = next[n + i]++;
+    col_row_[p] = i;
+    col_value_[p] = 1.0;
+  }
   for (int j = 0; j < n; ++j) {
     lb_[j] = model_.lower_bound(j);
     ub_[j] = model_.upper_bound(j);
   }
   for (int i = 0; i < m_; ++i) {
     rhs_[i] = model_.rhs(i);
-    for (const Coefficient& t : model_.row(i)) {
-      cols_[t.var].push_back({i, t.value});
-    }
     const int slack = n + i;
-    cols_[slack].push_back({i, 1.0});
     switch (model_.constraint_sense(i)) {
       case ConstraintSense::kLessEqual:
         lb_[slack] = 0.0;
@@ -148,23 +237,27 @@ void Core::BuildColumns() {
         break;
     }
   }
-  n_slack_end_ = n + m_;
 }
 
-// Initial nonbasic value for a variable given its bounds.
-double InitialValue(double lb, double ub) {
-  if (std::isfinite(lb)) return lb;
-  if (std::isfinite(ub)) return ub;
-  return 0.0;
+// Row-wise copy of every column, artificials included; built once the
+// starting basis has fixed the column set.
+void Core::BuildRowCopy() {
+  row_start_.assign(m_ + 1, 0);
+  for (int row : col_row_) ++row_start_[row + 1];
+  for (int i = 0; i < m_; ++i) row_start_[i + 1] += row_start_[i];
+  row_col_.resize(row_start_.back());
+  row_value_.resize(row_start_.back());
+  std::vector<int> next(row_start_.begin(), row_start_.end() - 1);
+  for (int j = 0; j < NumVars(); ++j) {
+    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+      const int q = next[col_row_[p]]++;
+      row_col_[q] = j;
+      row_value_[q] = col_value_[p];
+    }
+  }
 }
 
-VarStatus InitialStatus(double lb, double ub) {
-  if (std::isfinite(lb)) return VarStatus::kAtLower;
-  if (std::isfinite(ub)) return VarStatus::kAtUpper;
-  return VarStatus::kFree;
-}
-
-bool Core::ColdStart() {
+void Core::ColdStart() {
   const int n = n_structural_;
   status_.assign(NumVars(), VarStatus::kAtLower);
   x_.assign(NumVars(), 0.0);
@@ -176,12 +269,11 @@ bool Core::ColdStart() {
   std::vector<double> residual(rhs_);
   for (int j = 0; j < n; ++j) {
     if (x_[j] == 0.0) continue;
-    for (const SparseEntry& e : cols_[j]) {
-      residual[e.row] -= e.value * x_[j];
+    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+      residual[col_row_[p]] -= col_value_[p] * x_[j];
     }
   }
   basis_.assign(m_, -1);
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
   for (int i = 0; i < m_; ++i) {
     const int slack = n + i;
     const double r = residual[i];
@@ -190,7 +282,6 @@ bool Core::ColdStart() {
       basis_[i] = slack;
       status_[slack] = VarStatus::kBasic;
       x_[slack] = r;
-      binv_[static_cast<size_t>(i) * m_ + i] = 1.0;
     } else {
       // Park the slack at its nearest bound and cover the remainder with an
       // artificial variable.
@@ -200,37 +291,47 @@ bool Core::ColdStart() {
                            : VarStatus::kAtUpper;
       x_[slack] = v;
       const double rem = r - v;
-      const double sign = rem >= 0.0 ? 1.0 : -1.0;
-      cols_.push_back({{i, sign}});
+      col_row_.push_back(i);
+      col_value_.push_back(rem >= 0.0 ? 1.0 : -1.0);
+      col_start_.push_back(static_cast<int>(col_row_.size()));
       lb_.push_back(0.0);
       ub_.push_back(kInfinity);
       status_.push_back(VarStatus::kBasic);
       x_.push_back(std::abs(rem));
       basis_[i] = NumVars() - 1;
-      binv_[static_cast<size_t>(i) * m_ + i] = sign;  // diag(+-1) inverse
     }
   }
-  pivots_since_refactor_ = 0;
-  ResetDevex();
-  return true;
+  // A diagonal basis of +-1 entries cannot be singular.
+  Refactorize();
 }
 
 bool Core::TryWarmStart(const Basis& warm) {
-  if (static_cast<int>(warm.basic.size()) != m_) return false;
-  std::vector<bool> used(n_slack_end_, false);
-  for (int j : warm.basic) {
-    if (j < 0 || j >= n_slack_end_ || used[j]) return false;
-    used[j] = true;
+  // The basis may predate structural columns appended to the model since:
+  // its indices run over its own old_n structurals, then the m slacks.
+  const int old_n = static_cast<int>(warm.status.size()) - m_;
+  if (static_cast<int>(warm.basic.size()) != m_ || old_n < 0 ||
+      old_n > n_structural_) {
+    return false;
   }
-  basis_ = warm.basic;
+  const int shift = n_structural_ - old_n;
+  std::vector<bool> used(n_slack_end_, false);
+  basis_.resize(m_);
+  for (int i = 0; i < m_; ++i) {
+    int j = warm.basic[i];
+    if (j < 0 || j >= old_n + m_) return false;
+    if (j >= old_n) j += shift;
+    if (used[j]) return false;
+    used[j] = true;
+    basis_[i] = j;
+  }
   status_.assign(NumVars(), VarStatus::kAtLower);
   x_.assign(NumVars(), 0.0);
   for (int j = 0; j < NumVars(); ++j) {
-    VarStatus s = j < static_cast<int>(warm.status.size())
-                      ? warm.status[j]
-                      : InitialStatus(lb_[j], ub_[j]);
+    VarStatus s = j < old_n           ? warm.status[j]
+                  : j < n_structural_ ? InitialStatus(lb_[j], ub_[j])
+                                      : warm.status[j - shift];
     if (s == VarStatus::kBasic && !used[j]) {
-      s = InitialStatus(lb_[j], ub_[j]);  // stale status for a new variable
+      s = InitialStatus(lb_[j], ub_[j]);  // status disagrees with the basis
     }
     switch (s) {
       case VarStatus::kBasic:
@@ -261,176 +362,317 @@ bool Core::TryWarmStart(const Basis& warm) {
   return true;
 }
 
-// Rebuilds binv_ from the current basis by Gauss-Jordan elimination with
-// partial pivoting, then recomputes the basic values. Returns false if the
-// basis matrix is numerically singular.
 bool Core::Refactorize() {
   const Stopwatch refactor_watch;
   ++refactorizations_;
-  std::vector<double> b(static_cast<size_t>(m_) * m_, 0.0);
-  for (int k = 0; k < m_; ++k) {
-    for (const SparseEntry& e : cols_[basis_[k]]) {
-      b[static_cast<size_t>(e.row) * m_ + k] = e.value;
-    }
-  }
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
-  for (int i = 0; i < m_; ++i) binv_[static_cast<size_t>(i) * m_ + i] = 1.0;
-  for (int col = 0; col < m_; ++col) {
-    int piv = col;
-    double best = std::abs(b[static_cast<size_t>(col) * m_ + col]);
-    for (int i = col + 1; i < m_; ++i) {
-      const double v = std::abs(b[static_cast<size_t>(i) * m_ + col]);
-      if (v > best) {
-        best = v;
-        piv = i;
-      }
-    }
-    if (best < 1e-12) return false;
-    if (piv != col) {
-      for (int k = 0; k < m_; ++k) {
-        std::swap(b[static_cast<size_t>(piv) * m_ + k],
-                  b[static_cast<size_t>(col) * m_ + k]);
-        std::swap(binv_[static_cast<size_t>(piv) * m_ + k],
-                  binv_[static_cast<size_t>(col) * m_ + k]);
-      }
-    }
-    const double inv = 1.0 / b[static_cast<size_t>(col) * m_ + col];
-    for (int k = 0; k < m_; ++k) {
-      b[static_cast<size_t>(col) * m_ + k] *= inv;
-      binv_[static_cast<size_t>(col) * m_ + k] *= inv;
-    }
-    // Eliminate the pivot column from every other row. Rows are
-    // independent (each reads only the pivot row), so they fan out across
-    // the pool on large bases; per-row arithmetic is unchanged, keeping
-    // the factorization bit-identical to the serial one.
-    const double* bcol = &b[static_cast<size_t>(col) * m_];
-    const double* icol = &binv_[static_cast<size_t>(col) * m_];
-    ParallelRanges(m_, static_cast<size_t>(m_) * m_, [&](int lo, int hi) {
-      for (int i = lo; i < hi; ++i) {
-        if (i == col) continue;
-        const double f = b[static_cast<size_t>(i) * m_ + col];
-        if (f == 0.0) continue;
-        double* brow = &b[static_cast<size_t>(i) * m_];
-        double* irow = &binv_[static_cast<size_t>(i) * m_];
-        for (int k = 0; k < m_; ++k) {
-          brow[k] -= f * bcol[k];
-          irow[k] -= f * icol[k];
-        }
-      }
-    });
-  }
-  ComputeBasicValues();
-  pivots_since_refactor_ = 0;
-  ResetDevex();
+  inaccurate_ = false;
+  const bool ok = Factor();
+  if (ok) ComputeBasicValues();
   refactor_seconds_ += refactor_watch.ElapsedSeconds();
+  return ok;
+}
+
+// Left-looking sparse LU with partial pivoting (Gilbert-Peierls): basis
+// columns are taken in order of increasing nonzero count, so the slack and
+// two-entry columns that dominate the bases this library produces pivot
+// first and leave little room for fill. Step k solves L x = a for the
+// k-th column over the rows Reach() finds, puts the entries in pivoted
+// rows into U and divides the rest, minus the largest one (the pivot),
+// into L.
+bool Core::Factor() {
+  eta_row_.clear();
+  eta_pivot_.clear();
+  eta_start_.assign(1, 0);
+  eta_index_.clear();
+  eta_value_.clear();
+
+  // Basis positions by column count (a stable counting sort).
+  const auto count = [&](int k) {
+    return col_start_[basis_[k] + 1] - col_start_[basis_[k]];
+  };
+  int max_count = 0;
+  for (int k = 0; k < m_; ++k) max_count = std::max(max_count, count(k));
+  std::vector<int> next(max_count + 2, 0);
+  for (int k = 0; k < m_; ++k) ++next[count(k) + 1];
+  for (int c = 0; c <= max_count; ++c) next[c + 1] += next[c];
+  lu_col_.resize(m_);
+  for (int k = 0; k < m_; ++k) lu_col_[next[count(k)]++] = k;
+
+  lu_row_.resize(m_);
+  pinv_.assign(m_, -1);
+  reach_.resize(m_);
+  stack_.resize(m_);
+  resume_.resize(m_);
+  row_mark_.assign(m_, 0);
+  row_stamp_ = 0;
+  work_.assign(m_, 0.0);
+  l_start_.assign(1, 0);
+  l_index_.clear();
+  l_value_.clear();
+  u_start_.assign(1, 0);
+  u_index_.clear();
+  u_value_.clear();
+  u_diag_.resize(m_);
+  double* x = work_.data();
+  for (int k = 0; k < m_; ++k) {
+    const int j = basis_[lu_col_[k]];
+    const int top = Reach(j);
+    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+      x[col_row_[p]] += col_value_[p];
+    }
+    for (int t = top; t < m_; ++t) {
+      const int i = reach_[t];
+      const int step = pinv_[i];
+      if (step < 0 || x[i] == 0.0) continue;
+      const double xi = x[i];
+      for (int p = l_start_[step]; p < l_start_[step + 1]; ++p) {
+        x[l_index_[p]] -= l_value_[p] * xi;
+      }
+    }
+    int pivot_row = -1;
+    double best = kSingularTol;
+    for (int t = top; t < m_; ++t) {
+      const int i = reach_[t];
+      if (pinv_[i] >= 0) {
+        if (x[i] != 0.0) {
+          u_index_.push_back(pinv_[i]);
+          u_value_.push_back(x[i]);
+        }
+      } else if (std::abs(x[i]) > best) {
+        best = std::abs(x[i]);
+        pivot_row = i;
+      }
+    }
+    if (pivot_row < 0) {
+      for (int t = top; t < m_; ++t) x[reach_[t]] = 0.0;
+      return false;
+    }
+    const double pivot = x[pivot_row];
+    pinv_[pivot_row] = k;
+    lu_row_[k] = pivot_row;
+    u_diag_[k] = pivot;
+    for (int t = top; t < m_; ++t) {
+      const int i = reach_[t];
+      if (pinv_[i] < 0 && x[i] != 0.0) {
+        l_index_.push_back(i);
+        l_value_.push_back(x[i] / pivot);
+      }
+      x[i] = 0.0;
+    }
+    l_start_.push_back(static_cast<int>(l_index_.size()));
+    u_start_.push_back(static_cast<int>(u_index_.size()));
+  }
+  // L was built with row indices; FTRAN and BTRAN work in pivot order.
+  for (int& i : l_index_) i = pinv_[i];
   return true;
+}
+
+// Symbolic step of factorization step k: writes to reach_[top..m-1], in
+// topological order, every row that L^{-1} a_col can make nonzero — the
+// rows of column `col` and everything reachable from them through the
+// columns of L built so far. Returns top.
+int Core::Reach(int col) {
+  int top = m_;
+  ++row_stamp_;
+  for (int p = col_start_[col]; p < col_start_[col + 1]; ++p) {
+    if (row_mark_[col_row_[p]] == row_stamp_) continue;
+    int head = 0;
+    stack_[0] = col_row_[p];
+    while (head >= 0) {
+      const int i = stack_[head];
+      const int step = pinv_[i];
+      if (row_mark_[i] != row_stamp_) {
+        row_mark_[i] = row_stamp_;
+        resume_[head] = step < 0 ? 0 : l_start_[step];
+      }
+      const int end = step < 0 ? 0 : l_start_[step + 1];
+      bool done = true;
+      for (int q = resume_[head]; q < end; ++q) {
+        const int child = l_index_[q];
+        if (row_mark_[child] == row_stamp_) continue;
+        resume_[head] = q + 1;
+        stack_[++head] = child;
+        done = false;
+        break;
+      }
+      if (done) {
+        --head;
+        reach_[--top] = i;
+      }
+    }
+  }
+  return top;
+}
+
+void Core::Ftran(std::vector<double>& v) {
+  double* x = work_.data();
+  for (int k = 0; k < m_; ++k) x[k] = v[lu_row_[k]];
+  for (int k = 0; k < m_; ++k) {
+    const double xk = x[k];
+    if (xk == 0.0) continue;
+    for (int p = l_start_[k]; p < l_start_[k + 1]; ++p) {
+      x[l_index_[p]] -= l_value_[p] * xk;
+    }
+  }
+  for (int k = m_ - 1; k >= 0; --k) {
+    if (x[k] == 0.0) continue;
+    const double xk = x[k] / u_diag_[k];
+    x[k] = xk;
+    for (int p = u_start_[k]; p < u_start_[k + 1]; ++p) {
+      x[u_index_[p]] -= u_value_[p] * xk;
+    }
+  }
+  for (int k = 0; k < m_; ++k) v[lu_col_[k]] = x[k];
+  // Each eta E = I + (w - e_r) e_r' contributes its inverse:
+  // x_r /= w_r, then x_i -= w_i x_r elsewhere.
+  for (size_t e = 0; e < eta_row_.size(); ++e) {
+    const int r = eta_row_[e];
+    if (v[r] == 0.0) continue;
+    const double xr = v[r] / eta_pivot_[e];
+    v[r] = xr;
+    for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p) {
+      v[eta_index_[p]] -= eta_value_[p] * xr;
+    }
+  }
+}
+
+void Core::Btran(std::vector<double>& v) {
+  for (size_t e = eta_row_.size(); e-- > 0;) {
+    // The eta dot products are the long ones; four partial sums break the
+    // floating-point add chain.
+    double s[4] = {v[eta_row_[e]], 0.0, 0.0, 0.0};
+    int p = eta_start_[e];
+    const int end = eta_start_[e + 1];
+    for (; p + 4 <= end; p += 4) {
+      for (int u = 0; u < 4; ++u) {
+        s[u] -= eta_value_[p + u] * v[eta_index_[p + u]];
+      }
+    }
+    for (; p < end; ++p) s[0] -= eta_value_[p] * v[eta_index_[p]];
+    v[eta_row_[e]] = ((s[0] + s[1]) + (s[2] + s[3])) / eta_pivot_[e];
+  }
+  double* y = work_.data();
+  for (int k = 0; k < m_; ++k) y[k] = v[lu_col_[k]];
+  for (int k = 0; k < m_; ++k) {
+    double s = y[k];
+    for (int p = u_start_[k]; p < u_start_[k + 1]; ++p) {
+      s -= u_value_[p] * y[u_index_[p]];
+    }
+    y[k] = s / u_diag_[k];
+  }
+  for (int k = m_ - 1; k >= 0; --k) {
+    double s = y[k];
+    for (int p = l_start_[k]; p < l_start_[k + 1]; ++p) {
+      s -= l_value_[p] * y[l_index_[p]];
+    }
+    y[k] = s;
+  }
+  for (int k = 0; k < m_; ++k) v[lu_row_[k]] = y[k];
+}
+
+void Core::AppendEta(int r, const std::vector<double>& w) {
+  eta_row_.push_back(r);
+  eta_pivot_.push_back(w[r]);
+  for (int i = 0; i < m_; ++i) {
+    if (i != r && std::abs(w[i]) > kDropTol) {
+      eta_index_.push_back(i);
+      eta_value_.push_back(w[i]);
+    }
+  }
+  eta_start_.push_back(static_cast<int>(eta_index_.size()));
 }
 
 void Core::ComputeBasicValues() {
   std::vector<double> r(rhs_);
   for (int j = 0; j < NumVars(); ++j) {
     if (status_[j] == VarStatus::kBasic || x_[j] == 0.0) continue;
-    for (const SparseEntry& e : cols_[j]) r[e.row] -= e.value * x_[j];
-  }
-  // One independent row dot product per basic variable (basis_ entries are
-  // distinct, so the x_ writes are disjoint).
-  ParallelRanges(m_, static_cast<size_t>(m_) * m_, [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) {
-      double v = 0.0;
-      const double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) v += row[k] * r[k];
-      x_[basis_[i]] = v;
+    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+      r[col_row_[p]] -= col_value_[p] * x_[j];
     }
-  });
+  }
+  Ftran(r);
+  for (int i = 0; i < m_; ++i) x_[basis_[i]] = r[i];
 }
 
-void Core::ComputeDuals(const std::vector<double>& cost,
-                        std::vector<double>* pi) const {
-  pi->assign(m_, 0.0);
-  // Rows whose basic variable carries a nonzero cost, in row order. Each
-  // dual component k then accumulates over these rows in that fixed order,
-  // so slicing the k range across threads changes nothing about any
-  // individual sum — parallel duals are bit-identical to serial ones.
-  active_rows_.clear();
-  for (int i = 0; i < m_; ++i) {
-    const double cb = basis_[i] < static_cast<int>(cost.size())
-                          ? cost[basis_[i]]
-                          : 0.0;
-    if (cb == 0.0) continue;
-    active_rows_.push_back({i, cb});
-  }
-  double* out = pi->data();
-  ParallelRanges(m_, active_rows_.size() * m_, [&](int lo, int hi) {
-    for (const auto& [row_index, cb] : active_rows_) {
-      const double* row = &binv_[static_cast<size_t>(row_index) * m_];
-      for (int k = lo; k < hi; ++k) out[k] += cb * row[k];
+void Core::ComputeReducedCosts(const std::vector<double>& cost) {
+  std::vector<double> pi(m_);
+  for (int i = 0; i < m_; ++i) pi[i] = cost[basis_[i]];
+  Btran(pi);
+  d_.resize(NumVars());
+  moves_.resize(NumVars());
+  for (int j = 0; j < NumVars(); ++j) {
+    SetMoves(j);
+    double dj = 0.0;
+    if (status_[j] != VarStatus::kBasic) {
+      dj = cost[j];
+      for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+        dj -= pi[col_row_[p]] * col_value_[p];
+      }
     }
-  });
+    d_[j] = dj;
+  }
+  UpdateAndPrice(0.0, 0.0);
+}
+
+double Core::Direction(int j) const {
+  const double tol = options_.optimality_tolerance;
+  if ((moves_[j] & 1) && d_[j] < -tol) return 1.0;
+  if ((moves_[j] & 2) && d_[j] > tol) return -1.0;
+  return 0.0;
+}
+
+void Core::SetMoves(int j) {
+  const VarStatus s = status_[j];
+  if (s == VarStatus::kBasic || lb_[j] == ub_[j]) {
+    moves_[j] = 0;  // a fixed variable can never improve
+  } else {
+    moves_[j] = s == VarStatus::kAtLower ? 1 : s == VarStatus::kAtUpper ? 2 : 3;
+  }
+}
+
+void Core::UpdateAndPrice(double theta, double devex_scale) {
+  const int n = NumVars();
+  double* d = d_.data();
+  double* devex = devex_.data();
+  double* alpha = alpha_.data();
+  for (int j = 0; j < n; ++j) {
+    const double a = alpha[j];
+    alpha[j] = 0.0;
+    d[j] -= theta * a;
+    devex[j] = std::max(devex[j], a * a * devex_scale);
+  }
+  devex_enter_ = -1;
+  bland_enter_ = -1;
+  double best = 0.0;
+  for (int j = 0; j < n; ++j) {
+    if (Direction(j) == 0.0) continue;
+    if (bland_enter_ < 0) bland_enter_ = j;
+    // Devex-weighted score: favors directions with small projected norm.
+    const double score = d[j] * d[j] / devex[j];
+    if (score > best) {
+      best = score;
+      devex_enter_ = j;
+    }
+  }
 }
 
 double Core::Objective(const std::vector<double>& cost) const {
   double obj = 0.0;
-  const int limit = std::min<int>(NumVars(), static_cast<int>(cost.size()));
-  for (int j = 0; j < limit; ++j) obj += cost[j] * x_[j];
+  for (int j = 0; j < NumVars(); ++j) obj += cost[j] * x_[j];
   return obj;
 }
 
-Core::StepResult Core::Iterate(const std::vector<double>& cost, bool bland) {
-  ComputeDuals(cost, &pi_);
-
-  // --- Pricing: pick the entering variable. ---
-  int enter = -1;
-  double enter_dir = 0.0;
-  if (devex_.size() != static_cast<size_t>(NumVars())) ResetDevex();
-  // Eligibility is decided by the reduced-cost tests below; the weighted
-  // score only ranks the eligible candidates, so any positive value wins.
-  double best_score = 0.0;
-  for (int j = 0; j < NumVars(); ++j) {
-    const VarStatus s = status_[j];
-    if (s == VarStatus::kBasic) continue;
-    if (lb_[j] == ub_[j]) continue;  // fixed variable can never improve
-    double cj = j < static_cast<int>(cost.size()) ? cost[j] : 0.0;
-    for (const SparseEntry& e : cols_[j]) cj -= pi_[e.row] * e.value;
-    double score = 0.0;
-    double dir = 0.0;
-    if (s == VarStatus::kAtLower && cj < -options_.optimality_tolerance) {
-      score = -cj;
-      dir = 1.0;
-    } else if (s == VarStatus::kAtUpper &&
-               cj > options_.optimality_tolerance) {
-      score = cj;
-      dir = -1.0;
-    } else if (s == VarStatus::kFree &&
-               std::abs(cj) > options_.optimality_tolerance) {
-      score = std::abs(cj);
-      dir = cj < 0.0 ? 1.0 : -1.0;
-    } else {
-      continue;
-    }
-    if (bland) {  // first eligible index
-      enter = j;
-      enter_dir = dir;
-      break;
-    }
-    // Devex-weighted score: favors directions with small projected norm.
-    const double weighted = score * score / devex_[j];
-    if (weighted > best_score) {
-      best_score = weighted;
-      enter = j;
-      enter_dir = dir;
-    }
-  }
+Core::StepResult Core::Iterate(bool bland, double* objective_delta) {
+  const int enter = bland ? bland_enter_ : devex_enter_;
   if (enter < 0) return StepResult::kOptimal;
+  const double enter_dir = Direction(enter);
 
   // --- FTRAN: w = B^{-1} A_enter. ---
   w_.assign(m_, 0.0);
-  for (const SparseEntry& e : cols_[enter]) {
-    const double v = e.value;
-    const int r = e.row;
-    for (int i = 0; i < m_; ++i) {
-      w_[i] += binv_[static_cast<size_t>(i) * m_ + r] * v;
-    }
+  for (int p = col_start_[enter]; p < col_start_[enter + 1]; ++p) {
+    w_[col_row_[p]] += col_value_[p];
   }
+  Ftran(w_);
 
   // --- Ratio test. ---
   // Entering moves by t >= 0 in direction enter_dir; basic i changes by
@@ -470,10 +712,10 @@ Core::StepResult Core::Iterate(const std::vector<double>& cost, bool bland) {
       best_pivot_mag = std::abs(w_[i]);
     }
   }
+  const double d_enter = d_[enter];
   // Bound flip of the entering variable itself.
   const double own_range = ub_[enter] - lb_[enter];
-  const bool can_flip = std::isfinite(own_range);
-  if (can_flip && own_range <= t_best) {
+  if (std::isfinite(own_range) && own_range <= t_best) {
     // Flip: entering moves to its opposite bound; no basis change.
     const double t = own_range;
     for (int i = 0; i < m_; ++i) {
@@ -483,11 +725,33 @@ Core::StepResult Core::Iterate(const std::vector<double>& cost, bool bland) {
     status_[enter] = status_[enter] == VarStatus::kAtLower
                          ? VarStatus::kAtUpper
                          : VarStatus::kAtLower;
+    SetMoves(enter);
+    UpdateAndPrice(0.0, 0.0);
+    *objective_delta = d_enter * enter_dir * t;
     return StepResult::kContinue;
   }
   if (leave_row < 0) return StepResult::kUnbounded;
+  const double pivot = w_[leave_row];
+  if (std::abs(pivot) < kPivotTol) return StepResult::kSingular;
 
-  // --- Pivot: update values, basis, and the explicit inverse. ---
+  // --- Pivot row: rho = B^{-T} e_r, alpha_j = rho' A_j (pre-pivot). ---
+  rho_.assign(m_, 0.0);
+  rho_[leave_row] = 1.0;
+  Btran(rho_);
+  for (int i = 0; i < m_; ++i) {
+    const double ri = rho_[i];
+    if (ri == 0.0) continue;
+    for (int p = row_start_[i]; p < row_start_[i + 1]; ++p) {
+      alpha_[row_col_[p]] += ri * row_value_[p];
+    }
+  }
+
+  // Both solves produced the pivot element: w_r by FTRAN and alpha_q by
+  // BTRAN. A mismatch means the factors have drifted.
+  inaccurate_ =
+      std::abs(alpha_[enter] - pivot) > 1e-9 * (1.0 + std::abs(pivot));
+
+  // --- Basis change and primal values. ---
   const double t = t_best;
   for (int i = 0; i < m_; ++i) {
     if (w_[i] != 0.0) x_[basis_[i]] -= enter_dir * t * w_[i];
@@ -498,43 +762,70 @@ Core::StepResult Core::Iterate(const std::vector<double>& cost, bool bland) {
   status_[leaving] = leave_status;
   basis_[leave_row] = enter;
   status_[enter] = VarStatus::kBasic;
+  SetMoves(leaving);
+  SetMoves(enter);
+  *objective_delta = d_enter * enter_dir * t;
 
-  const double pivot = w_[leave_row];
-  if (std::abs(pivot) < kPivotTol) return StepResult::kSingular;
-  double* prow = &binv_[static_cast<size_t>(leave_row) * m_];
-  // --- Devex weight update (uses the pre-pivot row r of B^{-1}). ---
-  {
-    const double gamma_q = std::max(devex_[enter], 1.0);
-    const double inv_p2 = 1.0 / (pivot * pivot);
-    for (int j = 0; j < NumVars(); ++j) {
-      if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
-      double alpha = 0.0;
-      for (const SparseEntry& e : cols_[j]) alpha += prow[e.row] * e.value;
-      if (alpha == 0.0) continue;
-      const double candidate = alpha * alpha * inv_p2 * gamma_q;
-      if (candidate > devex_[j]) devex_[j] = candidate;
-    }
-    devex_[leaving] = std::max(gamma_q * inv_p2, 1.0);
-    devex_[enter] = 1.0;
-    // Guard against unbounded weight growth.
-    if (devex_[leaving] > 1e12) ResetDevex();
+  // --- Reduced costs and Devex weights along the pivot row. ---
+  // d_j -= theta alpha_j zeroes d_enter and takes the leaving variable
+  // (alpha 1) to -theta; that one, with its weight, is set directly.
+  const double theta = d_enter / pivot;
+  const double gamma_q = std::max(devex_[enter], 1.0);
+  const double inv_p2 = 1.0 / (pivot * pivot);
+  d_[leaving] = -theta;
+  alpha_[leaving] = 0.0;
+  devex_[leaving] = std::max(gamma_q * inv_p2, 1.0);
+  if (devex_[leaving] > 1e12) {
+    // Runaway weight growth: restart the reference framework.
+    ResetDevex();
+    UpdateAndPrice(theta, 0.0);
+  } else {
+    UpdateAndPrice(theta, gamma_q * inv_p2);
   }
-  const double inv_pivot = 1.0 / pivot;
-  for (int k = 0; k < m_; ++k) prow[k] *= inv_pivot;
-  // Rank-1 inverse update: every row i != leave_row subtracts its own
-  // multiple of the (now scaled, read-only) pivot row — the per-iteration
-  // O(m^2) hot spot, and embarrassingly row-parallel.
-  ParallelRanges(m_, static_cast<size_t>(m_) * m_, [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) {
-      if (i == leave_row) continue;
-      const double f = w_[i];
-      if (f == 0.0) continue;
-      double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) row[k] -= f * prow[k];
-    }
-  });
-  ++pivots_since_refactor_;
+
+  AppendEta(leave_row, w_);
   return StepResult::kContinue;
+}
+
+SolveStatus Core::Optimize(const std::vector<double>& cost) {
+  ComputeReducedCosts(cost);
+  int degenerate = 0;
+  bool bland = false;
+  while (true) {
+    if (iterations_ >= options_.max_iterations) {
+      return SolveStatus::kIterationLimit;
+    }
+    if ((iterations_ & 63) == 0 &&
+        stopwatch_.ElapsedSeconds() > options_.time_limit_seconds) {
+      return SolveStatus::kTimeLimit;
+    }
+    if (inaccurate_ ||
+        static_cast<int>(eta_row_.size()) >= refactor_pivots_) {
+      if (!Refactorize()) return SolveStatus::kNumericalError;
+      ComputeReducedCosts(cost);
+    }
+    double objective_delta = 0.0;
+    const StepResult sr = Iterate(bland, &objective_delta);
+    ++iterations_;
+    switch (sr) {
+      case StepResult::kOptimal:
+        // The updated reduced costs say optimal. Confirm it on fresh ones
+        // from a new factorization, which also cleans the final values.
+        if (!Refactorize()) return SolveStatus::kNumericalError;
+        ComputeReducedCosts(cost);
+        if (devex_enter_ < 0) return SolveStatus::kOptimal;
+        break;
+      case StepResult::kUnbounded:
+        return SolveStatus::kUnbounded;
+      case StepResult::kSingular:
+        return SolveStatus::kNumericalError;
+      case StepResult::kContinue:
+        // Track objective stalls for anti-cycling.
+        degenerate = objective_delta >= -1e-12 ? degenerate + 1 : 0;
+        if (degenerate > kDegenerateLimit) bland = true;
+        break;
+    }
+  }
 }
 
 LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
@@ -574,65 +865,34 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
     return result;
   }
 
-  bool warm_ok = warm != nullptr && !warm->empty() && TryWarmStart(*warm);
+  const bool warm_ok =
+      warm != nullptr && !warm->empty() && TryWarmStart(*warm);
   if (!warm_ok) ColdStart();
+  BuildRowCopy();
+  alpha_.assign(NumVars(), 0.0);
+  ResetDevex();
 
-  const double sgn = model_.sense() == ObjectiveSense::kMinimize ? 1.0 : -1.0;
+  const auto finish = [&](SolveStatus status) -> LpSolution& {
+    result.status = status;
+    result.iterations = iterations_;
+    result.solve_seconds = stopwatch_.ElapsedSeconds();
+    result.refactorizations = refactorizations_;
+    result.refactor_seconds = refactor_seconds_;
+    return result;
+  };
 
   // Phase 1 (only when artificials exist): minimize their sum.
-  const bool need_phase1 = NumVars() > n_slack_end_;
-  if (need_phase1) {
+  if (NumVars() > n_slack_end_) {
     std::vector<double> cost1(NumVars(), 0.0);
     for (int j = n_slack_end_; j < NumVars(); ++j) cost1[j] = 1.0;
-    int degenerate = 0;
-    bool bland = false;
-    double prev_obj1 = kInfinity;
-    while (true) {
-      if (iterations_ >= options_.max_iterations) {
-        result.status = SolveStatus::kIterationLimit;
-        return result;
-      }
-      if ((iterations_ & 63) == 0 &&
-          stopwatch_.ElapsedSeconds() > options_.time_limit_seconds) {
-        result.status = SolveStatus::kTimeLimit;
-        result.iterations = iterations_;
-        result.solve_seconds = stopwatch_.ElapsedSeconds();
-        result.refactorizations = refactorizations_;
-        result.refactor_seconds = refactor_seconds_;
-        return result;
-      }
-      if (pivots_since_refactor_ >= options_.refactorization_interval) {
-        if (!Refactorize()) {
-          result.status = SolveStatus::kNumericalError;
-          return result;
-        }
-      }
-      const StepResult sr = Iterate(cost1, bland);
-      ++iterations_;
-      if (sr == StepResult::kOptimal) break;
-      if (sr == StepResult::kSingular) {
-        result.status = SolveStatus::kNumericalError;
-        return result;
-      }
-      if (sr == StepResult::kUnbounded) {
-        // Phase 1 objective is bounded below by zero; this is numerical.
-        result.status = SolveStatus::kNumericalError;
-        return result;
-      }
-      // Track objective stalls for anti-cycling.
-      const double obj1 = Objective(cost1);
-      degenerate = obj1 >= prev_obj1 - 1e-12 ? degenerate + 1 : 0;
-      prev_obj1 = obj1;
-      if (degenerate > kDegenerateLimit) bland = true;
+    SolveStatus status = Optimize(cost1);
+    // The phase 1 objective is bounded below by zero, so an unbounded ray
+    // is numerical trouble.
+    if (status == SolveStatus::kUnbounded) {
+      status = SolveStatus::kNumericalError;
     }
-    if (Objective(cost1) > 1e-6) {
-      result.status = SolveStatus::kInfeasible;
-      result.iterations = iterations_;
-      result.solve_seconds = stopwatch_.ElapsedSeconds();
-      result.refactorizations = refactorizations_;
-      result.refactor_seconds = refactor_seconds_;
-      return result;
-    }
+    if (status != SolveStatus::kOptimal) return finish(status);
+    if (Objective(cost1) > 1e-6) return finish(SolveStatus::kInfeasible);
     // Freeze artificials at zero so they never re-enter.
     for (int j = n_slack_end_; j < NumVars(); ++j) {
       lb_[j] = 0.0;
@@ -645,71 +905,26 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
   }
 
   // Phase 2: true objective (internally always minimize).
+  const double sgn = model_.sense() == ObjectiveSense::kMinimize ? 1.0 : -1.0;
   std::vector<double> cost2(NumVars(), 0.0);
   for (int j = 0; j < n; ++j) {
     cost2[j] = sgn * model_.objective_coefficient(j);
   }
-  double prev_obj = kInfinity;
-  int degenerate = 0;
-  bool bland = false;
-  while (true) {
-    if (iterations_ >= options_.max_iterations) {
-      result.status = SolveStatus::kIterationLimit;
-      break;
-    }
-    if ((iterations_ & 63) == 0 &&
-        stopwatch_.ElapsedSeconds() > options_.time_limit_seconds) {
-      result.status = SolveStatus::kTimeLimit;
-      break;
-    }
-    if (pivots_since_refactor_ >= options_.refactorization_interval) {
-      if (!Refactorize()) {
-        result.status = SolveStatus::kNumericalError;
-        break;
-      }
-    }
-    const StepResult sr = Iterate(cost2, bland);
-    ++iterations_;
-    if (sr == StepResult::kOptimal) {
-      // Refactorize once more for clean final values and duals.
-      if (!Refactorize()) {
-        result.status = SolveStatus::kNumericalError;
-        break;
-      }
-      result.status = SolveStatus::kOptimal;
-      break;
-    }
-    if (sr == StepResult::kUnbounded) {
-      result.status = SolveStatus::kUnbounded;
-      break;
-    }
-    if (sr == StepResult::kSingular) {
-      result.status = SolveStatus::kNumericalError;
-      break;
-    }
-    const double obj = Objective(cost2);
-    degenerate = obj >= prev_obj - 1e-12 ? degenerate + 1 : 0;
-    prev_obj = obj;
-    if (degenerate > kDegenerateLimit) bland = true;
-  }
-
-  result.iterations = iterations_;
-  result.solve_seconds = stopwatch_.ElapsedSeconds();
-  result.refactorizations = refactorizations_;
-  result.refactor_seconds = refactor_seconds_;
-  result.x.assign(n, 0.0);
-  for (int j = 0; j < n; ++j) result.x[j] = x_[j];
+  finish(Optimize(cost2));
+  result.x.assign(x_.begin(), x_.begin() + n);
   result.objective = 0.0;
   for (int j = 0; j < n; ++j) {
     result.objective += model_.objective_coefficient(j) * x_[j];
   }
   if (result.status == SolveStatus::kOptimal) {
     // Duals with respect to the model's own objective coefficients.
-    std::vector<double> orig_cost(NumVars(), 0.0);
-    for (int j = 0; j < n; ++j) {
-      orig_cost[j] = model_.objective_coefficient(j);
+    result.duals.assign(m_, 0.0);
+    for (int i = 0; i < m_; ++i) {
+      if (basis_[i] < n) {
+        result.duals[i] = model_.objective_coefficient(basis_[i]);
+      }
     }
-    ComputeDuals(orig_cost, &result.duals);
+    Btran(result.duals);
     if (out_basis != nullptr) {
       out_basis->basic = basis_;
       out_basis->status.assign(status_.begin(),
@@ -725,16 +940,13 @@ LpSolution RevisedSimplex::Solve(const Model& model,
                                  const SolverOptions& options,
                                  const Basis* warm, Basis* out_basis) {
   {
-    Core core(model, options);
+    Core core(model, options, kRefactorPivots);
     LpSolution result = core.Run(warm, out_basis);
     if (result.status != SolveStatus::kNumericalError) return result;
   }
   // Numerical trouble (e.g. a drifted basis turned singular): retry once
-  // from a cold start with frequent refactorization.
-  SolverOptions retry = options;
-  retry.refactorization_interval =
-      std::min(retry.refactorization_interval, 256);
-  Core core(model, retry);
+  // from a cold start with more frequent refactorization.
+  Core core(model, options, kRetryRefactorPivots);
   return core.Run(nullptr, out_basis);
 }
 

@@ -2,10 +2,20 @@
 //
 // Solves Model (min/max c'x, sparse rows, box bounds) via the classical
 // two-phase method: phase 1 minimizes the sum of artificial variables to
-// find a feasible basis, phase 2 optimizes the true objective. The basis
-// inverse is kept explicitly (dense, row-major) and maintained with
-// product-form (eta) updates, rebuilt from scratch every
-// `refactorization_interval` pivots to bound floating-point drift.
+// find a feasible basis, phase 2 optimizes the true objective. Pricing is
+// Devex (approximate steepest edge) over an incrementally maintained list
+// of dual-infeasible columns, falling back to Bland's rule after a run of
+// degenerate pivots.
+//
+// The basis is never inverted. It is held as a sparse LU factorization
+// (left-looking, partial pivoting, columns ordered by nonzero count) and
+// each pivot appends one product-form eta matrix; after a few dozen
+// pivots the basis is factored afresh, which costs O(nnz) on the nearly
+// triangular bases of the OPT dual. Reduced costs are updated from the
+// pivot row, computed by a sparse BTRAN of e_r over a row-wise copy of
+// the matrix, and recomputed from scratch at every refactorization. The
+// solver is serial and deterministic: the same model and warm basis give
+// bit-identical results.
 //
 // Warm starting: Solve() can resume from a Basis captured by a previous
 // call. This matters for column generation (the optimal GeoInd mechanism):
@@ -33,7 +43,9 @@ enum class VarStatus : uint8_t {
 
 // Snapshot of a simplex basis: `basic[i]` is the variable occupying row i
 // (structural indices first, then slacks N..N+m-1); `status` has one entry
-// per structural-plus-slack variable.
+// per structural-plus-slack variable. N is the structural count when the
+// basis was captured: a warm start after columns were appended to the
+// model maps the slacks past the new columns.
 struct Basis {
   std::vector<int> basic;
   std::vector<VarStatus> status;

@@ -31,7 +31,7 @@ Status MapSolverFailure(lp::SolveStatus status) {
       return Status::ResourceExhausted("LP solver hit its iteration limit");
     case lp::SolveStatus::kTooLarge:
       return Status::ResourceExhausted(
-          "instance exceeds the solver's dense-basis size cap");
+          "instance exceeds the solver's basis row cap (max_basis_rows)");
     default:
       return Status::Internal("LP solver failed: " +
                               lp::SolveStatusToString(status));
@@ -268,12 +268,6 @@ Status OptimalMechanism::SolveColumnGeneration(
   lp::Basis basis;
   lp::LpSolution sol;
   lp::SolverOptions solver_options = options.solver;
-  // Let the simplex dense kernels share the construction pool unless the
-  // caller wired a solver pool explicitly.
-  if (solver_options.pool == nullptr) {
-    solver_options.pool = pool;
-    solver_options.threads = options.pricing_threads;
-  }
   const double time_limit = options.solver.time_limit_seconds;
   for (int round = 0; round < options.max_rounds; ++round) {
     ++stats_.rounds;

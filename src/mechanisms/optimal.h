@@ -60,14 +60,14 @@ struct OptimalMechanismOptions {
   // pricing pass).
   int seed_nearest_neighbors = 8;
   // Parallel construction. When set, the cost/exp-distance tables, the
-  // O(n^3) pricing scan (partitioned by z-slice), the row samplers, and
-  // the simplex dense kernels all fan out across this pool, with the
-  // calling thread participating. Construction never blocks on the pool
-  // (a busy or shut-down pool just lowers the effective parallelism, so
-  // it is safe to Create() from one of the pool's own workers), and a
-  // parallel run is bit-identical to a serial one: pricing slices merge
-  // in z order and every accumulation keeps its serial element order.
-  // Not owned; must outlive the Create() call.
+  // O(n^3) pricing scan (partitioned by z-slice) and the row samplers fan
+  // out across this pool, with the calling thread participating; the
+  // simplex itself runs serially on the calling thread. Construction never
+  // blocks on the pool (a busy or shut-down pool just lowers the effective
+  // parallelism, so it is safe to Create() from one of the pool's own
+  // workers), and a parallel run is bit-identical to a serial one:
+  // pricing slices merge in z order and every table element is computed
+  // once from the same inputs. Not owned; must outlive the Create() call.
   ThreadPool* pricing_pool = nullptr;
   // Total construction threads (pool helpers + the calling thread);
   // 0 = pool size + 1.

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -11,10 +13,13 @@
 namespace geopriv::data {
 namespace {
 
+// ctest runs each test in its own process, and every process starts
+// counter_ at 0, so the pid keeps concurrent tests off each other's files.
 class TempFile {
  public:
   explicit TempFile(const std::string& contents) {
     path_ = ::testing::TempDir() + "/geopriv_data_test_" +
+            std::to_string(static_cast<long long>(::getpid())) + "_" +
             std::to_string(counter_++) + ".txt";
     std::ofstream out(path_);
     out << contents;

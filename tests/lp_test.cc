@@ -90,8 +90,12 @@ void VerifyKkt(const Model& model, const LpSolution& sol, double tol = 1e-6) {
     if (at_lb > 1e-6 && at_ub > 1e-6) {
       EXPECT_NEAR(reduced[j], 0.0, 1e-5) << "var " << j;
     }
-    if (reduced[j] > tol) EXPECT_LT(at_lb, 1e-5) << "var " << j;
-    if (reduced[j] < -tol) EXPECT_LT(at_ub, 1e-5) << "var " << j;
+    if (reduced[j] > tol) {
+      EXPECT_LT(at_lb, 1e-5) << "var " << j;
+    }
+    if (reduced[j] < -tol) {
+      EXPECT_LT(at_ub, 1e-5) << "var " << j;
+    }
     duality_rhs += reduced[j] * sol.x[j];
   }
   EXPECT_NEAR(sense * sol.objective, duality_rhs,
@@ -427,8 +431,8 @@ TEST(ModelTest, ValidateRejectsNonFiniteRhs) {
 }
 
 TEST(SimplexTest, OversizedInstanceReportsTooLarge) {
-  // The dense basis inverse grows as rows^2; instances beyond the cap must
-  // fail fast instead of attempting a hundred-gigabyte allocation.
+  // Instances beyond the basis row cap must fail fast instead of starting
+  // a solve whose every pivot makes O(rows) dense passes.
   Model m;
   const int x = m.AddVariable(0.0, 1.0, 1.0);
   for (int i = 0; i < 100; ++i) {
@@ -438,6 +442,75 @@ TEST(SimplexTest, OversizedInstanceReportsTooLarge) {
   o.max_basis_rows = 50;
   const LpSolution sol = RevisedSimplex::Solve(m, o);
   EXPECT_EQ(sol.status, SolveStatus::kTooLarge);
+}
+
+// A solve long enough to cross many basis refactorizations (each one
+// replaces a run of eta updates with a fresh LU), followed by a warm start
+// after appending columns — the column-generation pattern. Both solutions
+// must satisfy KKT and match the interior point, and the warm start must
+// resume from the old optimum (the appended columns shift every slack
+// index) rather than fall back to a cold start.
+TEST(SimplexTest, WarmStartAfterManyRefactorizations) {
+  rng::Rng rng(77);
+  const int n = 90;
+  const int rows = 140;
+  Model m;
+  std::vector<double> x0(n);
+  for (int j = 0; j < n; ++j) {
+    const double ub = rng.Uniform(1.0, 4.0);
+    m.AddVariable(0.0, ub, rng.Uniform(-3.0, 1.0));
+    x0[j] = rng.Uniform(0.2, 0.8) * ub;
+  }
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Coefficient> terms;
+    double activity = 0.0;
+    for (int j = 0; j < n; ++j) {
+      if (rng.Uniform() < 0.3) {
+        const double a = rng.Uniform(-2.0, 2.0);
+        terms.push_back({j, a});
+        activity += a * x0[j];
+      }
+    }
+    if (rng.Uniform() < 0.5) {
+      m.AddConstraint(ConstraintSense::kLessEqual,
+                      activity + rng.Uniform(0.0, 1.0), std::move(terms));
+    } else {
+      m.AddConstraint(ConstraintSense::kGreaterEqual,
+                      activity - rng.Uniform(0.0, 1.0), std::move(terms));
+    }
+  }
+  Basis basis;
+  const LpSolution first =
+      RevisedSimplex::Solve(m, DefaultOptions(), nullptr, &basis);
+  ASSERT_TRUE(first.optimal()) << SolveStatusToString(first.status);
+  EXPECT_GE(first.refactorizations, 8);
+  VerifyKkt(m, first);
+  const LpSolution first_ipm = InteriorPoint::Solve(m, DefaultOptions());
+  ASSERT_TRUE(first_ipm.optimal());
+  EXPECT_NEAR(first.objective, first_ipm.objective,
+              1e-4 * (1.0 + std::abs(first.objective)));
+
+  // Cheap new columns, each in a few existing rows.
+  for (int k = 0; k < 30; ++k) {
+    const int v = m.AddVariable(0.0, rng.Uniform(1.0, 3.0),
+                                rng.Uniform(-4.0, -1.0));
+    for (int i = 0; i < rows; ++i) {
+      if (rng.Uniform() < 0.1) m.AddCoefficient(i, v, rng.Uniform(-2.0, 2.0));
+    }
+  }
+  const LpSolution warm = RevisedSimplex::Solve(m, DefaultOptions(), &basis);
+  ASSERT_TRUE(warm.optimal()) << SolveStatusToString(warm.status);
+  VerifyKkt(m, warm);
+  EXPECT_LT(warm.objective, first.objective);
+  const LpSolution cold = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_NEAR(warm.objective, cold.objective,
+              1e-8 * (1.0 + std::abs(cold.objective)));
+  EXPECT_LT(warm.iterations, cold.iterations / 2);
+  const LpSolution ipm = InteriorPoint::Solve(m, DefaultOptions());
+  ASSERT_TRUE(ipm.optimal()) << SolveStatusToString(ipm.status);
+  EXPECT_NEAR(warm.objective, ipm.objective,
+              1e-4 * (1.0 + std::abs(warm.objective)));
 }
 
 TEST(SimplexTest, TimeLimitReported) {

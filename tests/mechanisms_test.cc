@@ -294,6 +294,40 @@ TEST(OptimalMechanismTest, SquaredMetricChangesObjective) {
   EXPECT_NE(d1->ExpectedLoss(), d2->ExpectedLoss());
 }
 
+// The node LPs MSM solves one level up: a g x g candidate grid over a
+// 10 km square at eps = 1/km with fixed check-in-count priors. The
+// explicit primal references stop at n = 14, so these optima are pinned
+// to values recorded from an independent solver (a revised simplex that
+// kept a dense explicit inverse); any correct solver reaches them to
+// roundoff.
+TEST(OptimalMechanismTest, ReachesReferenceOptimaAtNodeSizes) {
+  const struct {
+    int g;
+    double loss;
+  } kCases[] = {{3, 0.36679514513065092},
+                {4, 0.75285163662861421},
+                {5, 0.99391104399793639}};
+  for (const auto& c : kCases) {
+    const int n = c.g * c.g;
+    std::vector<double> prior(n);
+    for (int i = 0; i < n; ++i) prior[i] = 1.0 + (i * 37) % 11;
+    const OptimalMechanismOptions options;
+    auto opt = OptimalMechanism::Create(
+        1.0, spatial::UniformGrid(BBox{0.0, 0.0, 10.0, 10.0}, c.g)
+                 .AllCenters(),
+        prior, UtilityMetric::kEuclidean, options);
+    ASSERT_TRUE(opt.ok()) << "g=" << c.g << ": " << opt.status();
+    EXPECT_NEAR(opt->ExpectedLoss(), c.loss, 1e-9 * c.loss) << "g=" << c.g;
+    for (int x = 0; x < n; ++x) {
+      double sum = 0.0;
+      for (int z = 0; z < n; ++z) sum += opt->K(x, z);
+      EXPECT_NEAR(sum, 1.0, 1e-12) << "g=" << c.g << " x=" << x;
+    }
+    EXPECT_LE(opt->MaxGeoIndViolation(), options.violation_tolerance)
+        << "g=" << c.g;
+  }
+}
+
 // Figure-5 machinery: for the minimal budget produced by the cost model,
 // the solved mechanism's self-mapping probability should be close to the
 // requested rho (paper reports +-5% for g >= 3 with a uniform prior).

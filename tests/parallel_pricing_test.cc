@@ -1,7 +1,7 @@
 // Tests of the parallel LP construction pipeline and the solve-path
 // bugfixes that ride with it:
-//   * parallel pricing / table builds / simplex kernels are bit-identical
-//     to serial runs at every thread count,
+//   * parallel pricing and table builds are bit-identical to serial runs
+//     at every thread count,
 //   * the deadline fires promptly *inside* a pricing scan (not only at
 //     round boundaries),
 //   * strict mode rejects the GeoInd-breaking identity-row degrade while
@@ -81,9 +81,9 @@ mechanisms::OptimalMechanism BuildOpt(int g, double eps,
   return std::move(opt).value();
 }
 
-// g = 5 (n = 25, m = 625 dual rows) is the smallest size where every
-// parallel stage actually engages: the simplex kernels' work gate needs
-// m^2 >= 2^17 element-ops.
+// g = 5 (n = 25, m = 625 dual rows) takes several pricing rounds, so a
+// scan sliced per thread would generate a different column sequence
+// unless the slices merge in z order.
 TEST(ParallelPricingTest, DeterministicAcrossThreadCounts) {
   const auto serial = BuildOpt(5, 1.2, nullptr, 0);
   for (int t : {2, 4, 8}) {
