@@ -241,19 +241,15 @@ RegionAuditReport AuditRegion(const core::LocationSanitizer& sanitizer,
       }
     }
 
-    NodeAudit audit = AuditMechanism(MechanismView{
+    const NodeAudit audit = AuditMechanism(MechanismView{
         mech->eps(), mech->locations(), mech->prior_vector(),
         mech->k_table()});
-    audit.node = item.node;
-    audit.level = item.level;
     if (audit.invalid) {
       ++report.skipped_nodes;
-      if (options.keep_node_results) report.nodes.push_back(audit);
       continue;  // unusable matrix: nothing to descend by
     }
     ++report.audited_nodes;
     if (audit.posterior_skipped) ++report.skipped_nodes;
-    if (options.keep_node_results) report.nodes.push_back(audit);
 
     LevelAcc& acc = levels[item.level];
     ++acc.nodes;

@@ -104,11 +104,7 @@ struct AuditOptions {
   // an audit pass never pays LP work or evicts serving state.
   bool include_cold_nodes = true;
   // Nodes visited per audit at most (audited + skipped); 0 = unlimited.
-  // Bounds one background pass over a huge region.
   int max_nodes = 0;
-  // Retain the per-node results in RegionAuditReport::nodes (CLI detail
-  // output; the background auditor keeps only aggregates).
-  bool keep_node_results = false;
 };
 
 // Reach-weighted aggregates of one index level.
@@ -149,8 +145,7 @@ struct RegionAuditReport {
   double worst_case_loss = 0.0;
   double min_slack = 0.0;
   double max_violation = 0.0;
-  std::vector<LevelAudit> levels;           // ascending level order
-  std::vector<NodeAudit> nodes;             // only when keep_node_results
+  std::vector<LevelAudit> levels;  // ascending level order
 };
 
 // Audits a live region: BFS over the internal nodes of the sanitizer's

@@ -139,13 +139,15 @@ std::string BaselineStore::Serialize() const {
   std::string out = kHeader;
   out += '\n';
   for (const auto& [id, entry] : entries_) {
-    char buf[512];
-    std::snprintf(buf, sizeof(buf), "%s %.17g %.17g %.17g %.17g %.17g %.17g\n",
-                  EscapeId(id).c_str(), entry.expected_loss_euclidean,
-                  entry.expected_loss_squared, entry.adversary_error,
-                  entry.conditional_entropy_bits, entry.worst_case_loss,
-                  entry.min_slack);
-    out += buf;
+    out += EscapeId(id);
+    for (double v : {entry.expected_loss_euclidean, entry.expected_loss_squared,
+                     entry.adversary_error, entry.conditional_entropy_bits,
+                     entry.worst_case_loss, entry.min_slack}) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), " %.17g", v);
+      out += buf;
+    }
+    out += '\n';
   }
   return out;
 }

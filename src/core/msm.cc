@@ -13,6 +13,15 @@
 
 namespace geopriv::core {
 
+namespace {
+
+// Upper bound on nodes a serving plan may pin. Bounds both the rebuild
+// cost and the bytes the plan holds unevictable; with a byte budget the
+// plan additionally stops at half the budget so an evictable pool remains.
+constexpr size_t kMaxPlanNodes = 4096;
+
+}  // namespace
+
 StatusOr<MultiStepMechanism> MultiStepMechanism::Create(
     double eps, std::shared_ptr<const spatial::HierarchicalPartition> index,
     std::shared_ptr<const prior::Prior> prior, const MsmOptions& options) {
@@ -41,8 +50,6 @@ MsmStats MultiStepMechanism::stats() const {
         slot.lp_refactor_seconds.load(std::memory_order_relaxed);
     snapshot.lp_violations_found +=
         slot.lp_violations_found.load(std::memory_order_relaxed);
-    snapshot.degraded_rows +=
-        slot.degraded_rows.load(std::memory_order_relaxed);
     snapshot.uniform_prior_fallbacks +=
         slot.uniform_prior_fallbacks.load(std::memory_order_relaxed);
     snapshot.plan_builds += slot.plan_builds.load(std::memory_order_relaxed);
@@ -122,21 +129,12 @@ MultiStepMechanism::BuildNodeMechanism(spatial::NodeIndex node,
                                      std::memory_order_relaxed);
   slot.lp_violations_found.fetch_add(os.violations_found,
                                      std::memory_order_relaxed);
-  slot.degraded_rows.fetch_add(os.degraded_rows, std::memory_order_relaxed);
   return std::make_unique<mechanisms::OptimalMechanism>(std::move(mech));
 }
 
 StatusOr<NodeMechanismCache::MechanismPtr>
 MultiStepMechanism::NodeMechanism(spatial::NodeIndex node, int level,
                                   bool* cache_hit) const {
-  if (!options_.cache_nodes) {
-    // Uncached mode: every call builds a mechanism the caller privately
-    // owns. No shared mutable state, so concurrent Report() calls are
-    // safe — they just each pay the LP.
-    if (cache_hit != nullptr) *cache_hit = false;
-    GEOPRIV_ASSIGN_OR_RETURN(auto built, BuildNodeMechanism(node, level));
-    return NodeMechanismCache::MechanismPtr(std::move(built));
-  }
   return cache_->GetOrCompute(
       node, [&] { return BuildNodeMechanism(node, level); }, cache_hit);
 }
@@ -147,10 +145,6 @@ StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k) const {
 
 StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k,
                                                   ThreadPool* pool) const {
-  if (!options_.cache_nodes) {
-    return Status::FailedPrecondition(
-        "PrewarmTopNodes requires cache_nodes");
-  }
   if (k <= 0) return 0;
   // Best-first walk by unconditional prior mass. Expanding only popped
   // nodes guarantees every warmed node's ancestors are warmed first (a
@@ -249,13 +243,9 @@ MultiStepMechanism::BuildPlan(uint64_t generation) const {
   const size_t byte_cap = options_.cache_byte_budget > 0
                               ? options_.cache_byte_budget / 2
                               : std::numeric_limits<size_t>::max();
-  const size_t node_cap =
-      options_.serving_plan_max_nodes > 0
-          ? static_cast<size_t>(options_.serving_plan_max_nodes)
-          : 0;
 
   const spatial::NodeIndex root = spatial::HierarchicalPartition::kRoot;
-  if (budget_.height() < 1 || node_cap == 0 || index_->IsLeaf(root)) {
+  if (budget_.height() < 1 || index_->IsLeaf(root)) {
     return plan;
   }
   NodeMechanismCache::MechanismPtr root_mech = cache_->TryGet(root);
@@ -297,7 +287,7 @@ MultiStepMechanism::BuildPlan(uint64_t generation) const {
       plan->child_is_leaf.push_back(leaf ? 1 : 0);
       int32_t child_plan = -1;
       if (!leaf && item.level + 1 <= budget_.height() &&
-          plan->mech.size() < node_cap) {
+          plan->mech.size() < kMaxPlanNodes) {
         NodeMechanismCache::MechanismPtr m = cache_->TryGet(c.id);
         if (m != nullptr) {
           const size_t bytes = m->MemoryFootprintBytes();
@@ -319,7 +309,6 @@ MultiStepMechanism::BuildPlan(uint64_t generation) const {
 
 std::shared_ptr<const MultiStepMechanism::ServingPlan>
 MultiStepMechanism::CurrentPlan() const {
-  if (!options_.serving_plan || !options_.cache_nodes) return nullptr;
   std::shared_ptr<const ServingPlan> plan =
       plan_state_->plan.load(std::memory_order_acquire);
   const uint64_t gen = cache_->generation();

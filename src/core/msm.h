@@ -15,14 +15,12 @@
 // NodeMechanismCache with singleflight semantics: repeated queries that
 // walk through the same node reuse its transition matrix, so the LP cost
 // is paid once per visited node rather than once per query — even when
-// many threads share one mechanism (see MsmOptions::cache_nodes and the
-// micro/throughput benches for the effect).
+// many threads share one mechanism (see the micro/throughput benches for
+// the effect).
 //
 // Thread safety: ReportOrStatus and Report are safe to call concurrently
 // as long as each thread draws from its own Rng; stats are sharded
-// per-thread atomics. With cache_nodes = false every call builds (and
-// privately owns) a fresh per-node mechanism, so the uncached mode is also
-// thread-safe — it just pays the LP on every visit.
+// per-thread atomics.
 //
 // Warm serving path: the mechanism maintains a ServingPlan — a flattened,
 // contiguous SoA image of the resident hot subtree (per-level child
@@ -62,18 +60,9 @@ struct MsmOptions {
   BudgetOptions budget;
   mechanisms::OptimalMechanismOptions opt;
   geo::UtilityMetric metric = geo::UtilityMetric::kEuclidean;
-  // Reuse solved per-node LPs across queries.
-  bool cache_nodes = true;
   // Byte budget for the node cache's resident OPT matrices; past it the
   // cache evicts least-recently-used unpinned entries. 0 = unbounded.
   size_t cache_byte_budget = 0;
-  // Maintain the flattened ServingPlan over the warm subtree (see the file
-  // comment). Requires cache_nodes; ignored without it.
-  bool serving_plan = true;
-  // Upper bound on nodes a plan may pin. Bounds both the rebuild cost and
-  // the bytes the plan holds unevictable; with a byte budget the plan
-  // additionally stops at half the budget so an evictable pool remains.
-  int serving_plan_max_nodes = 4096;
 };
 
 // Snapshot of the mechanism's counters (see MultiStepMechanism::stats()).
@@ -93,10 +82,6 @@ struct MsmStats {
   // the obs layer reports: pricing / refactorize / pivoting).
   double lp_refactor_seconds = 0.0;
   int64_t lp_violations_found = 0;
-  // All-zero LP rows rewritten to identity rows (GeoInd-breaking; nonzero
-  // only when options.opt.strict is disabled — strict builds fail
-  // instead).
-  int64_t degraded_rows = 0;
   // Nodes whose conditional prior carried no mass and fell back to the
   // uniform prior over their children.
   int64_t uniform_prior_fallbacks = 0;
@@ -116,8 +101,8 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
       double eps, std::shared_ptr<const spatial::HierarchicalPartition> index,
       std::shared_ptr<const prior::Prior> prior, const MsmOptions& options);
 
-  // Status-returning variant (LP time limits surface here). Thread-safe in
-  // cached mode; `rng` must be private to the calling thread.
+  // Status-returning variant (LP time limits surface here). Thread-safe;
+  // `rng` must be private to the calling thread.
   StatusOr<geo::Point> ReportOrStatus(geo::Point actual, rng::Rng& rng) const;
 
   // Walks every point in submission order against one pinned plan,
@@ -142,7 +127,7 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
   MsmStats stats() const;
 
   // Node count of the current serving plan, rebuilding it first if the
-  // cache generation moved (0 when plans are disabled or nothing is warm).
+  // cache generation moved (0 when nothing is warm).
   size_t serving_plan_nodes() const;
   size_t cache_size() const { return cache_->size(); }
   const NodeMechanismCache& cache() const { return *cache_; }
@@ -162,7 +147,6 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
   // are warmed too. Goes through the cache's singleflight path, so it is
   // safe to run concurrently with live traffic (e.g. from a background
   // warmer). Returns the number of nodes now resident (hits included).
-  // Requires cache_nodes; fails fast otherwise.
   //
   // With a pool, independent frontier nodes (siblings, cousins) build
   // concurrently: helper threads are recruited non-blockingly from `pool`
@@ -189,7 +173,6 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
       std::atomic<double> lp_simplex_seconds{0.0};
       std::atomic<double> lp_refactor_seconds{0.0};
       std::atomic<int64_t> lp_violations_found{0};
-      std::atomic<int64_t> degraded_rows{0};
       std::atomic<int64_t> uniform_prior_fallbacks{0};
       std::atomic<int64_t> plan_builds{0};
       std::atomic<int64_t> plan_levels{0};
@@ -258,7 +241,7 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
 
   // The current plan, rebuilt first (by this caller, if it wins the
   // single-rebuilder election) when the cache generation moved. nullptr
-  // when plans are disabled or nothing is published yet.
+  // while another caller builds the first plan.
   std::shared_ptr<const ServingPlan> CurrentPlan() const;
   // BFS over the warm subtree, pinning via the cache's non-building probe.
   std::shared_ptr<const ServingPlan> BuildPlan(uint64_t generation) const;

@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -11,11 +12,12 @@ namespace geopriv::data {
 
 namespace {
 
+// Rejects non-finite values ("nan", "inf", overflowing "1e999") too.
 bool ParseDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  return end != nullptr && *end == '\0' && std::isfinite(*out);
 }
 
 bool ParseInt64(const std::string& s, int64_t* out) {
@@ -23,6 +25,10 @@ bool ParseInt64(const std::string& s, int64_t* out) {
   char* end = nullptr;
   *out = std::strtoll(s.c_str(), &end, 10);
   return end != nullptr && *end == '\0';
+}
+
+bool ValidLatLon(double lat, double lon) {
+  return lat >= -90.0 && lat <= 90.0 && lon >= -180.0 && lon <= 180.0;
 }
 
 std::vector<std::string> Split(const std::string& line, char sep) {
@@ -50,7 +56,8 @@ StatusOr<std::vector<CheckinRecord>> LoadGowallaCheckins(
     CheckinRecord rec;
     // Fields: user, ISO time (ignored), lat, lon, location id (ignored).
     if (f.size() < 4 || !ParseInt64(f[0], &rec.user_id) ||
-        !ParseDouble(f[2], &rec.lat) || !ParseDouble(f[3], &rec.lon)) {
+        !ParseDouble(f[2], &rec.lat) || !ParseDouble(f[3], &rec.lon) ||
+        !ValidLatLon(rec.lat, rec.lon)) {
       ++bad;
       continue;
     }
@@ -84,6 +91,10 @@ StatusOr<std::vector<CheckinRecord>> LoadCsvCheckins(
       continue;
     }
     first = false;
+    if (!ValidLatLon(rec.lat, rec.lon)) {
+      ++bad;
+      continue;
+    }
     if (bounds != nullptr && !bounds->Contains(rec.lat, rec.lon)) continue;
     records.push_back(rec);
   }

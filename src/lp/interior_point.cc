@@ -10,6 +10,13 @@ namespace geopriv::lp {
 
 namespace {
 
+// Convergence: mean complementarity below kOptimalityTol and both residuals
+// below kFeasibilityTol, relative to the right-hand side's magnitude.
+constexpr double kOptimalityTol = 1e-8;
+constexpr double kFeasibilityTol = 1e-8;
+// Iterations before a solve gives up with kIterationLimit.
+constexpr int kMaxIterations = 200;
+
 // Standard-form program: min c'x s.t. Ax = b, x >= 0, derived from a Model
 // by shifting/negating/splitting variables and adding slacks. `recover`
 // describes how to map standard-form values back to model variables.
@@ -242,8 +249,7 @@ LpSolution InteriorPoint::Solve(const Model& model,
     return true;
   };
 
-  const int max_iter = std::min(options.max_iterations, 200);
-  for (int iter = 0; iter < max_iter; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     if (stopwatch.ElapsedSeconds() > options.time_limit_seconds) {
       result.status = SolveStatus::kTimeLimit;
       result.iterations = iter;
@@ -262,9 +268,8 @@ LpSolution InteriorPoint::Solve(const Model& model,
     for (double v : rb) rb_norm = std::max(rb_norm, std::abs(v));
     for (double v : rc) rc_norm = std::max(rc_norm, std::abs(v));
     const double feas_scale = 1.0 + scale;
-    if (mu < options.optimality_tolerance &&
-        rb_norm < options.feasibility_tolerance * feas_scale &&
-        rc_norm < options.feasibility_tolerance * feas_scale) {
+    if (mu < kOptimalityTol && rb_norm < kFeasibilityTol * feas_scale &&
+        rc_norm < kFeasibilityTol * feas_scale) {
       result.status = SolveStatus::kOptimal;
       result.iterations = iter;
       break;
@@ -274,7 +279,7 @@ LpSolution InteriorPoint::Solve(const Model& model,
     double x_norm = 0.0;
     for (double v : x) x_norm = std::max(x_norm, v);
     if (x_norm > 1e14 || mu > 1e18) {
-      result.status = rb_norm > options.feasibility_tolerance * feas_scale
+      result.status = rb_norm > kFeasibilityTol * feas_scale
                           ? SolveStatus::kInfeasible
                           : SolveStatus::kUnbounded;
       result.iterations = iter;
@@ -328,7 +333,7 @@ LpSolution InteriorPoint::Solve(const Model& model,
     result.iterations = iter + 1;
   }
   if (result.status != SolveStatus::kOptimal) {
-    result.status = result.iterations >= max_iter
+    result.status = result.iterations >= kMaxIterations
                         ? SolveStatus::kIterationLimit
                         : result.status;
   }

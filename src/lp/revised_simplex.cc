@@ -13,6 +13,10 @@ namespace {
 
 constexpr double kPivotTol = 1e-9;
 constexpr double kZeroTol = 1e-11;
+// A nonbasic column prices in when its reduced cost beats this.
+constexpr double kOptimalityTol = 1e-8;
+// Pivots before a solve gives up with kIterationLimit.
+constexpr int kMaxIterations = 1000000;
 // A factorization pivot at or below this magnitude means the basis is
 // numerically singular.
 constexpr double kSingularTol = 1e-12;
@@ -615,9 +619,8 @@ void Core::ComputeReducedCosts(const std::vector<double>& cost) {
 }
 
 double Core::Direction(int j) const {
-  const double tol = options_.optimality_tolerance;
-  if ((moves_[j] & 1) && d_[j] < -tol) return 1.0;
-  if ((moves_[j] & 2) && d_[j] > tol) return -1.0;
+  if ((moves_[j] & 1) && d_[j] < -kOptimalityTol) return 1.0;
+  if ((moves_[j] & 2) && d_[j] > kOptimalityTol) return -1.0;
   return 0.0;
 }
 
@@ -792,7 +795,7 @@ SolveStatus Core::Optimize(const std::vector<double>& cost) {
   int degenerate = 0;
   bool bland = false;
   while (true) {
-    if (iterations_ >= options_.max_iterations) {
+    if (iterations_ >= kMaxIterations) {
       return SolveStatus::kIterationLimit;
     }
     if ((iterations_ & 63) == 0 &&

@@ -26,10 +26,6 @@ std::string SolveStatusToString(SolveStatus status);
 struct SolverOptions {
   // Wall-clock budget; the solver returns kTimeLimit when exceeded.
   double time_limit_seconds = std::numeric_limits<double>::infinity();
-  // Simplex pivots (or interior-point iterations).
-  int max_iterations = 1000000;
-  double feasibility_tolerance = 1e-8;
-  double optimality_tolerance = 1e-8;
   // Revised simplex: upper bound on the basis dimension (constraint
   // rows). The basis is factored sparsely, so memory grows with its
   // nonzeros, but every pivot still makes several O(m) dense passes and

@@ -23,6 +23,13 @@ namespace {
 // Maximum candidate count for the explicit n^3-row primal formulations.
 constexpr int kMaxFullSolveLocations = 14;
 
+// Column-generation rounds before giving up with kResourceExhausted.
+constexpr int kMaxRounds = 1000;
+
+// Nearest neighbors per location whose GeoInd constraints seed the dual
+// before the first solve.
+constexpr int kSeedNearestNeighbors = 8;
+
 Status MapSolverFailure(lp::SolveStatus status) {
   switch (status) {
     case lp::SolveStatus::kTimeLimit:
@@ -228,32 +235,31 @@ Status OptimalMechanism::SolveColumnGeneration(
   // Seed the dual with the constraints between each location and its
   // nearest neighbors: they carry the tightest bounds and form the bulk of
   // the active set at every eps, so starting with them collapses most of
-  // the generation rounds into the first solve.
-  if (options.seed_nearest_neighbors > 0) {
-    for (int x = 0; x < n; ++x) {
-      // Indices of the k nearest other locations (selection by distance).
-      std::vector<int> order;
-      order.reserve(n - 1);
-      for (int xp = 0; xp < n; ++xp) {
-        if (xp != x) order.push_back(xp);
-      }
-      const int k = std::min<int>(options.seed_nearest_neighbors,
-                                  static_cast<int>(order.size()));
-      std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                        [&](int a, int b) {
-                          return expd[static_cast<size_t>(x) * n + a] <
-                                 expd[static_cast<size_t>(x) * n + b];
-                        });
-      for (int i = 0; i < k; ++i) {
-        const int xp = order[i];
-        const double bound = expd[static_cast<size_t>(x) * n + xp];
-        for (int z = 0; z < n; ++z) {
-          const int w = dual.AddVariable(-lp::kInfinity, 0.0, 0.0);
-          dual.AddCoefficient(row_of(x, z), w, 1.0 / bound);
-          dual.AddCoefficient(row_of(xp, z), w, -1.0);
-          generated.insert((static_cast<int64_t>(x) * n + xp) * n + z);
-          ++stats_.generated_columns;
-        }
+  // the generation rounds into the first solve. Exactness is unaffected:
+  // generation still runs to a clean pricing pass.
+  for (int x = 0; x < n; ++x) {
+    // Indices of the k nearest other locations (selection by distance).
+    std::vector<int> order;
+    order.reserve(n - 1);
+    for (int xp = 0; xp < n; ++xp) {
+      if (xp != x) order.push_back(xp);
+    }
+    const int k =
+        std::min<int>(kSeedNearestNeighbors, static_cast<int>(order.size()));
+    std::partial_sort(order.begin(), order.begin() + k, order.end(),
+                      [&](int a, int b) {
+                        return expd[static_cast<size_t>(x) * n + a] <
+                               expd[static_cast<size_t>(x) * n + b];
+                      });
+    for (int i = 0; i < k; ++i) {
+      const int xp = order[i];
+      const double bound = expd[static_cast<size_t>(x) * n + xp];
+      for (int z = 0; z < n; ++z) {
+        const int w = dual.AddVariable(-lp::kInfinity, 0.0, 0.0);
+        dual.AddCoefficient(row_of(x, z), w, 1.0 / bound);
+        dual.AddCoefficient(row_of(xp, z), w, -1.0);
+        generated.insert((static_cast<int64_t>(x) * n + xp) * n + z);
+        ++stats_.generated_columns;
       }
     }
   }
@@ -269,7 +275,7 @@ Status OptimalMechanism::SolveColumnGeneration(
   lp::LpSolution sol;
   lp::SolverOptions solver_options = options.solver;
   const double time_limit = options.solver.time_limit_seconds;
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     ++stats_.rounds;
     if (std::isfinite(time_limit)) {
       solver_options.time_limit_seconds =
@@ -318,7 +324,7 @@ Status OptimalMechanism::SolveColumnGeneration(
             // coefficient e^{eps d}); see MaxGeoIndViolation for why.
             const double v = kxz / expd[static_cast<size_t>(x) * n + xp] -
                              k[row_of(xp, z)];
-            if (v > options.violation_tolerance) {
+            if (v > kViolationTolerance) {
               const int64_t key =
                   (static_cast<int64_t>(x) * n + xp) * n + z;
               if (generated.contains(key)) continue;
@@ -344,7 +350,7 @@ Status OptimalMechanism::SolveColumnGeneration(
     if (violations.empty()) {
       // All n^3 constraints hold: k is feasible and (by LP duality)
       // optimal for the complete program.
-      GEOPRIV_RETURN_IF_ERROR(FinalizeMatrix(k, options.strict));
+      GEOPRIV_RETURN_IF_ERROR(FinalizeMatrix(k));
       stats_.solve_seconds = stopwatch.ElapsedSeconds();
       stats_.objective = 0.0;
       for (size_t i = 0; i < nn; ++i) stats_.objective += cost[i] * k_[i];
@@ -432,7 +438,7 @@ Status OptimalMechanism::SolveFullPrimal(
   stats_.simplex_seconds = sol.solve_seconds;
   stats_.refactorizations = sol.refactorizations;
   stats_.refactor_seconds = sol.refactor_seconds;
-  GEOPRIV_RETURN_IF_ERROR(FinalizeMatrix(sol.x, options.strict));
+  GEOPRIV_RETURN_IF_ERROR(FinalizeMatrix(sol.x));
   stats_.solve_seconds = stopwatch.ElapsedSeconds();
   stats_.objective = 0.0;
   for (int x = 0; x < n; ++x) {
@@ -445,11 +451,10 @@ Status OptimalMechanism::SolveFullPrimal(
   return Status::OK();
 }
 
-Status OptimalMechanism::FinalizeMatrix(std::vector<double> raw,
-                                        bool strict) {
+Status OptimalMechanism::FinalizeMatrix(std::vector<double> raw) {
   const int n = num_locations();
   raw.resize(static_cast<size_t>(n) * n, 0.0);
-  int degraded = 0;
+  int zero_rows = 0;
   for (int x = 0; x < n; ++x) {
     double sum = 0.0;
     for (int z = 0; z < n; ++z) {
@@ -458,28 +463,22 @@ Status OptimalMechanism::FinalizeMatrix(std::vector<double> raw,
       sum += v;
     }
     if (sum <= 0.0) {
-      // Should not happen for a feasible LP. An identity row is a valid
-      // probability distribution but reports the true location with
-      // certainty — it breaks geo-indistinguishability, so it is never
-      // silent: strict mode fails the build below, non-strict counts it.
-      ++degraded;
-      raw[static_cast<size_t>(x) * n + x] = 1.0;
+      // Should not happen for a feasible LP. No row may stand in for it:
+      // an identity row is a valid distribution but reports the true
+      // location with certainty, which breaks geo-indistinguishability.
+      ++zero_rows;
       continue;
     }
     for (int z = 0; z < n; ++z) {
       raw[static_cast<size_t>(x) * n + z] /= sum;
     }
   }
+  if (zero_rows > 0) {
+    return Status::Internal("LP solution has " + std::to_string(zero_rows) +
+                            " all-zero row(s); refusing to serve them");
+  }
   k_owned_ = std::move(raw);
   k_ = k_owned_;
-  stats_.degraded_rows += degraded;
-  if (degraded > 0 && strict) {
-    return Status::Internal(
-        "LP solution has " + std::to_string(degraded) +
-        " all-zero row(s); refusing the GeoInd-breaking identity-row "
-        "degrade (set OptimalMechanismOptions::strict = false to allow "
-        "and count it)");
-  }
   return Status::OK();
 }
 

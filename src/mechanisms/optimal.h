@@ -49,16 +49,6 @@ struct OptimalMechanismOptions {
   // (0 = all violated constraints, the fastest setting in practice: it
   // converges in ~10 rounds with far fewer total simplex pivots).
   int columns_per_round = 0;
-  int max_rounds = 1000;
-  // A GeoInd constraint is considered violated when its row-scaled
-  // residual (see MaxGeoIndViolation) exceeds this tolerance.
-  double violation_tolerance = 1e-7;
-  // Pre-generate the constraints between every location and its k nearest
-  // neighbors before the first solve (0 disables). These constraints are
-  // almost always active, so seeding them collapses most generation
-  // rounds; exactness is unaffected (generation still runs to a clean
-  // pricing pass).
-  int seed_nearest_neighbors = 8;
   // Parallel construction. When set, the cost/exp-distance tables, the
   // O(n^3) pricing scan (partitioned by z-slice) and the row samplers fan
   // out across this pool, with the calling thread participating; the
@@ -72,12 +62,11 @@ struct OptimalMechanismOptions {
   // Total construction threads (pool helpers + the calling thread);
   // 0 = pool size + 1.
   int pricing_threads = 0;
-  // Fail Create() when the solved matrix contains an all-zero row, which
-  // would otherwise be silently rewritten to an identity row — a reply
-  // distribution that breaks geo-indistinguishability. With strict off
-  // the rewrite still happens but is counted in OptSolveStats.
-  bool strict = true;
 };
+
+// Column generation treats a GeoInd constraint as violated when its
+// row-scaled residual (see MaxGeoIndViolation) exceeds this tolerance.
+inline constexpr double kViolationTolerance = 1e-7;
 
 struct OptSolveStats {
   int rounds = 0;            // column-generation rounds (1 for full solves)
@@ -100,10 +89,6 @@ struct OptSolveStats {
   int64_t violations_found = 0;
   // Effective construction parallelism (1 without a pricing pool).
   int pricing_threads_used = 1;
-  // All-zero rows rewritten to identity rows by FinalizeMatrix. Nonzero
-  // only when OptimalMechanismOptions::strict is off; with strict on,
-  // Create() fails instead.
-  int degraded_rows = 0;
 };
 
 // A solved mechanism's complete state as flat tables — what a bundle
@@ -129,7 +114,8 @@ class OptimalMechanism final : public Mechanism {
   // `locations`: the n candidate locations (actual and reported sets
   // coincide, as in the paper); `prior`: n nonnegative masses (normalized
   // internally). Fails with kDeadlineExceeded/kResourceExhausted when the
-  // solver hits its limits.
+  // solver hits its limits, and with kInternal when the solution has an
+  // all-zero row (no distribution to serve for that location).
   static StatusOr<OptimalMechanism> Create(
       double eps, std::vector<geo::Point> locations,
       std::vector<double> prior, geo::UtilityMetric metric,
@@ -187,9 +173,9 @@ class OptimalMechanism final : public Mechanism {
   // Largest row-scaled violation over all n^3 GeoInd constraints:
   //   max over (x, x', z) of K(x)(z) / e^{eps d(x,x')} - K(x')(z),
   // i.e. each constraint divided by its largest coefficient, the standard
-  // LP feasibility measure. At an optimum this is <= the violation
-  // tolerance. (An absolute measure would be meaningless for far pairs at
-  // large eps: when e^{eps d} exceeds 1/tolerance the true optimum carries
+  // LP feasibility measure. At an optimum this is <= kViolationTolerance.
+  // (An absolute measure would be meaningless for far pairs at large eps:
+  // when e^{eps d} exceeds 1/tolerance the true optimum carries
   // sub-representable masses like e^{-40}, and the bound those constraints
   // enforce is vacuous for the adversary anyway.)
   double MaxGeoIndViolation() const;
@@ -231,7 +217,7 @@ class OptimalMechanism final : public Mechanism {
 
   Status SolveColumnGeneration(const OptimalMechanismOptions& options);
   Status SolveFullPrimal(const OptimalMechanismOptions& options);
-  Status FinalizeMatrix(std::vector<double> raw, bool strict);
+  Status FinalizeMatrix(std::vector<double> raw);
   void BuildRowSamplers(const OptimalMechanismOptions& options);
 
   void CopyFrom(const OptimalMechanism& other);

@@ -22,11 +22,14 @@ constexpr int kMaxFallbackCellsPerAxis = 4096;
 // SanitizeBatch items per pool task.
 constexpr size_t kBatchChunkSize = 8;
 
+// Relative move of expected Euclidean loss or adversary error vs. the
+// stored audit baseline that counts as drift.
+constexpr double kDriftRelativeThreshold = 0.25;
+
 // The MSM's effective leaf resolution, capped so the fallback grid stays
 // bounded: granularity^height cells per axis, at most
-// kMaxFallbackCellsPerAxis. Both registration paths size their
-// planar-Laplace fallback with this, so both report at the same
-// resolution as the MSM path.
+// kMaxFallbackCellsPerAxis. Every region's planar-Laplace fallback is
+// sized with this, so it reports at the same resolution as the MSM path.
 int EffectiveLeafCellsPerAxis(const core::LocationSanitizer& sanitizer) {
   int leaf = 1;
   for (int i = 0; i < sanitizer.budget().height(); ++i) {
@@ -130,15 +133,8 @@ StatusOr<std::unique_ptr<SanitizationService>> SanitizationService::Create(
   if (options.num_shards < 0) {
     return Status::InvalidArgument("num_shards must be >= 0");
   }
-  if (options.num_shards > 0 && options.shard_vnodes < 1) {
-    return Status::InvalidArgument("shard_vnodes must be >= 1");
-  }
   if (options.auditor.cadence_seconds < 0.0) {
     return Status::InvalidArgument("auditor.cadence_seconds must be >= 0");
-  }
-  if (options.auditor.max_nodes_per_region < 0) {
-    return Status::InvalidArgument(
-        "auditor.max_nodes_per_region must be >= 0");
   }
   return std::unique_ptr<SanitizationService>(
       new SanitizationService(options));
@@ -155,8 +151,7 @@ SanitizationService::SanitizationService(const ServiceOptions& options)
     recorder_ = std::make_unique<obs::TraceRecorder>(options.trace);
   }
   if (options.num_shards > 0) {
-    router_ =
-        std::make_unique<ShardRouter>(options.num_shards, options.shard_vnodes);
+    router_ = std::make_unique<ShardRouter>(options.num_shards);
   }
   worker_rngs_.reserve(static_cast<size_t>(options.num_workers));
   for (int w = 0; w < options.num_workers; ++w) {
@@ -183,94 +178,96 @@ SanitizationService::~SanitizationService() {
 
 Status SanitizationService::RegisterRegion(const std::string& region_id,
                                            const RegionConfig& config) {
-  if (region_id.empty()) {
-    return Status::InvalidArgument("region id must be non-empty");
-  }
-  // Reserve the id before the build: a duplicate registration — including
-  // a concurrent one — fails here without paying seconds of LP/prior
-  // work, and two racing registrations of the same id build only once.
-  // The reservation lives in building_, never in a snapshot, so readers
-  // cannot observe a half-built region.
-  {
-    std::lock_guard<std::mutex> lock(registry_writer_mu_);
-    const std::shared_ptr<const RegistrySnapshot> snap =
-        snapshot_.load(std::memory_order_acquire);
-    if (snap->regions.count(region_id) > 0 ||
-        !building_.insert(region_id).second) {
-      return Status::FailedPrecondition("region '" + region_id +
-                                        "' is already registered");
+  return InstallRegion(region_id, [&]() -> StatusOr<std::shared_ptr<Region>> {
+    core::LocationSanitizer::Builder builder;
+    builder.SetRegionLatLon(config.min_lat, config.min_lon, config.max_lat,
+                            config.max_lon)
+        .SetEpsilon(config.eps)
+        .SetGranularity(config.granularity)
+        .SetRho(config.rho)
+        .SetPriorGranularity(config.prior_granularity)
+        .SetUtilityMetric(config.metric)
+        .SetSeed(options_.seed)
+        .SetCacheByteBudget(config.cache_byte_budget)
+        // LP construction fans out across the serving pool. Builds never
+        // block on the pool, so a fully busy pool just means serial builds.
+        .SetConstructionPool(pool_.get());
+    if (!config.checkins.empty()) builder.AddCheckinsLatLon(config.checkins);
+    if (config.lp_time_limit_seconds > 0.0) {
+      builder.SetLpTimeLimitSeconds(config.lp_time_limit_seconds);
     }
-  }
-  // From here on, every failure path must release the reservation.
-  const auto release = [&] {
-    std::lock_guard<std::mutex> lock(registry_writer_mu_);
-    building_.erase(region_id);
-  };
-
-  core::LocationSanitizer::Builder builder;
-  builder.SetRegionLatLon(config.min_lat, config.min_lon, config.max_lat,
-                          config.max_lon)
-      .SetEpsilon(config.eps)
-      .SetGranularity(config.granularity)
-      .SetRho(config.rho)
-      .SetPriorGranularity(config.prior_granularity)
-      .SetUtilityMetric(config.metric)
-      .SetSeed(options_.seed)
-      .SetCacheByteBudget(config.cache_byte_budget)
-      // LP construction fans out across the serving pool. Builds never
-      // block on the pool, so a fully busy pool just means serial builds.
-      .SetConstructionPool(pool_.get());
-  if (!config.checkins.empty()) builder.AddCheckinsLatLon(config.checkins);
-  if (config.lp_time_limit_seconds > 0.0) {
-    builder.SetLpTimeLimitSeconds(config.lp_time_limit_seconds);
-  }
-  auto sanitizer = builder.Build();
-  if (!sanitizer.ok()) {
-    release();
-    return sanitizer.status();
-  }
-
-  // Fallback: planar Laplace with the region's whole budget, remapped to
-  // the MSM's effective leaf grid.
-  const int leaf = EffectiveLeafCellsPerAxis(sanitizer.value());
-  auto fallback = mechanisms::PlanarLaplaceOnGrid::Create(
-      config.eps, spatial::UniformGrid(sanitizer->domain_km(), leaf));
-  if (!fallback.ok()) {
-    release();
-    return fallback.status();
-  }
-
-  auto region = std::make_shared<Region>(std::move(sanitizer).value(),
-                                         std::move(fallback).value(), leaf);
-  if (config.prewarm_nodes > 0) {
-    // Best-effort: a failed prewarm solve (e.g. an LP time limit) means
-    // lazy solving — and, if that keeps failing, the planar-Laplace
-    // degradation path — not a failed registration.
-    auto warmed = region->sanitizer.PrewarmTopNodes(config.prewarm_nodes,
-                                                    pool_.get());
-    region->prewarmed_nodes = warmed.ok() ? warmed.value() : 0;
-  }
-
-  // Copy-publish a snapshot containing the new region and drop the
-  // reservation. Readers flip to it on their next atomic load.
-  std::lock_guard<std::mutex> lock(registry_writer_mu_);
-  std::unordered_map<std::string, std::shared_ptr<Region>> regions =
-      snapshot_.load(std::memory_order_acquire)->regions;
-  regions.emplace(region_id, std::move(region));
-  PublishLocked(std::move(regions));
-  building_.erase(region_id);
-  return Status::OK();
+    GEOPRIV_ASSIGN_OR_RETURN(core::LocationSanitizer sanitizer,
+                             builder.Build());
+    GEOPRIV_ASSIGN_OR_RETURN(std::shared_ptr<Region> region,
+                             NewRegion(std::move(sanitizer)));
+    if (config.prewarm_nodes > 0) {
+      // Best-effort: a failed prewarm solve (e.g. an LP time limit) means
+      // lazy solving — and, if that keeps failing, the planar-Laplace
+      // degradation path — not a failed registration.
+      auto warmed = region->sanitizer.PrewarmTopNodes(config.prewarm_nodes,
+                                                      pool_.get());
+      region->prewarmed_nodes = warmed.ok() ? warmed.value() : 0;
+    }
+    return region;
+  });
 }
 
 Status SanitizationService::LoadRegionFromBundle(
     const std::string& region_id, const std::string& path,
     const BundleRegionOptions& options) {
+  return InstallRegion(region_id, [&]() -> StatusOr<std::shared_ptr<Region>> {
+    // The recorded load time covers the whole cold start: open + verify +
+    // rehydrate + plan rebuild. That is the number the build/serve split
+    // exists to shrink, so it must not flatter itself by excluding the
+    // checksum pass.
+    const Stopwatch watch;
+    GEOPRIV_ASSIGN_OR_RETURN(const bundle::RegionBundleView view,
+                             bundle::RegionBundleView::Open(path));
+    bundle::RegionLoadOptions load_options;
+    load_options.seed = options_.seed;
+    load_options.cache_byte_budget = options.cache_byte_budget;
+    load_options.lp_time_limit_seconds = options.lp_time_limit_seconds;
+    load_options.construction_pool = pool_.get();
+    GEOPRIV_ASSIGN_OR_RETURN(bundle::LoadedRegion loaded,
+                             bundle::LoadRegion(view, load_options));
+    GEOPRIV_ASSIGN_OR_RETURN(std::shared_ptr<Region> region,
+                             NewRegion(std::move(loaded.sanitizer)));
+    // Bundle-published nodes are this path's prewarm: solved at build
+    // time, warm before the first request.
+    region->prewarmed_nodes = static_cast<int>(loaded.nodes_loaded);
+    region->bundle_bytes_mapped = loaded.bytes_mapped;
+    region->plan_warm_at_startup = loaded.plan_nodes;
+    metrics_.RecordBundleLoad(watch.ElapsedSeconds(), loaded.bytes_mapped,
+                              loaded.plan_nodes);
+    return region;
+  });
+}
+
+StatusOr<std::shared_ptr<SanitizationService::Region>>
+SanitizationService::NewRegion(core::LocationSanitizer sanitizer) {
+  // Fallback: planar Laplace with the region's whole budget, remapped to
+  // the MSM's effective leaf grid.
+  const int leaf = EffectiveLeafCellsPerAxis(sanitizer);
+  GEOPRIV_ASSIGN_OR_RETURN(
+      mechanisms::PlanarLaplaceOnGrid fallback,
+      mechanisms::PlanarLaplaceOnGrid::Create(
+          sanitizer.epsilon(),
+          spatial::UniformGrid(sanitizer.domain_km(), leaf)));
+  return std::make_shared<Region>(std::move(sanitizer), std::move(fallback),
+                                  leaf);
+}
+
+Status SanitizationService::InstallRegion(
+    const std::string& region_id,
+    const std::function<StatusOr<std::shared_ptr<Region>>()>& build) {
   if (region_id.empty()) {
     return Status::InvalidArgument("region id must be non-empty");
   }
-  // Same reservation protocol as RegisterRegion: a duplicate — including
-  // a concurrent one — fails before the map/verify work, and readers
-  // never observe a half-loaded region.
+  // Reserve the id before the build: a duplicate registration — including
+  // a concurrent one — fails here without paying seconds of LP, prior or
+  // bundle work, and two racing registrations of the same id build only
+  // once. The reservation lives in building_, never in a snapshot, so
+  // readers cannot observe a half-built region.
   {
     std::lock_guard<std::mutex> lock(registry_writer_mu_);
     const std::shared_ptr<const RegistrySnapshot> snap =
@@ -281,57 +278,18 @@ Status SanitizationService::LoadRegionFromBundle(
                                         "' is already registered");
     }
   }
-  const auto release = [&] {
-    std::lock_guard<std::mutex> lock(registry_writer_mu_);
-    building_.erase(region_id);
-  };
+  StatusOr<std::shared_ptr<Region>> region = build();
 
-  // The recorded load time covers the whole cold start: open + verify +
-  // rehydrate + plan rebuild. That is the number the build/serve split
-  // exists to shrink, so it must not flatter itself by excluding the
-  // checksum pass.
-  const Stopwatch watch;
-  auto view = bundle::RegionBundleView::Open(path);
-  if (!view.ok()) {
-    release();
-    return view.status();
-  }
-  bundle::RegionLoadOptions load_options;
-  load_options.seed = options_.seed;
-  load_options.cache_byte_budget = options.cache_byte_budget;
-  load_options.lp_time_limit_seconds = options.lp_time_limit_seconds;
-  load_options.construction_pool = pool_.get();
-  auto loaded = bundle::LoadRegion(view.value(), load_options);
-  if (!loaded.ok()) {
-    release();
-    return loaded.status();
-  }
-
-  const int leaf = EffectiveLeafCellsPerAxis(loaded->sanitizer);
-  auto fallback = mechanisms::PlanarLaplaceOnGrid::Create(
-      loaded->sanitizer.epsilon(),
-      spatial::UniformGrid(loaded->sanitizer.domain_km(), leaf));
-  if (!fallback.ok()) {
-    release();
-    return fallback.status();
-  }
-
-  auto region = std::make_shared<Region>(std::move(loaded->sanitizer),
-                                         std::move(fallback).value(), leaf);
-  // Bundle-published nodes are this path's prewarm: solved at build time,
-  // warm before the first request.
-  region->prewarmed_nodes = static_cast<int>(loaded->nodes_loaded);
-  region->bundle_bytes_mapped = loaded->bytes_mapped;
-  region->plan_warm_at_startup = loaded->plan_nodes;
-  metrics_.RecordBundleLoad(watch.ElapsedSeconds(), loaded->bytes_mapped,
-                            loaded->plan_nodes);
-
+  // Copy-publish a snapshot containing the new region and drop the
+  // reservation, which a failed build releases too. Readers flip to the
+  // new snapshot on their next atomic load.
   std::lock_guard<std::mutex> lock(registry_writer_mu_);
+  building_.erase(region_id);
+  if (!region.ok()) return region.status();
   std::unordered_map<std::string, std::shared_ptr<Region>> regions =
       snapshot_.load(std::memory_order_acquire)->regions;
-  regions.emplace(region_id, std::move(region));
+  regions.emplace(region_id, std::move(region).value());
   PublishLocked(std::move(regions));
-  building_.erase(region_id);
   return Status::OK();
 }
 
@@ -680,7 +638,6 @@ void SanitizationService::AuditOneRegion(
 
   audit::AuditOptions opts;
   opts.include_cold_nodes = options_.auditor.audit_cold_nodes;
-  opts.max_nodes = options_.auditor.max_nodes_per_region;
   auto report = std::make_shared<const audit::RegionAuditReport>(
       audit::AuditRegion(region->sanitizer, opts));
 
@@ -703,8 +660,8 @@ void SanitizationService::AuditOneRegion(
         metrics_.RecordAuditBaselineError(slot);
       }
     } else {
-      drift = audit::CompareToBaseline(
-          *base, current, options_.auditor.drift_relative_threshold);
+      drift =
+          audit::CompareToBaseline(*base, current, kDriftRelativeThreshold);
     }
   }
   if (drift.drifted) {
@@ -788,7 +745,6 @@ std::vector<obs::Metric> RegionMetrics(
       {"lp_simplex_seconds", kJsonOnly, r.msm.lp_simplex_seconds},
       {"lp_refactor_seconds", kCounter, r.msm.lp_refactor_seconds},
       {"lp_violations", kJsonOnly, r.msm.lp_violations_found},
-      {"degraded_rows", kJsonOnly, r.msm.degraded_rows},
       {"uniform_prior_fallbacks", kJsonOnly, r.msm.uniform_prior_fallbacks},
       {"cache_hits", kCounter, r.msm.cache_hits},
       {"cache_size", kGauge, r.cache_size},

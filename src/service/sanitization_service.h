@@ -103,7 +103,6 @@ struct ServiceOptions {
   // filter — so a fleet can run the same ring in N processes and have
   // each one register only the regions ShardFor() assigns it.
   int num_shards = 0;
-  int shard_vnodes = 64;
   // Background privacy/utility auditor (src/audit/). With a cadence > 0 a
   // dedicated low-priority scheduler thread wakes every cadence_seconds
   // and fans one audit task per registered region onto the worker pool via
@@ -113,9 +112,6 @@ struct ServiceOptions {
     // Seconds between audit passes; 0 (default) disables the thread.
     // AuditRegionNow() works either way.
     double cadence_seconds = 0.0;
-    // Relative move of expected Euclidean loss or adversary error vs. the
-    // stored baseline that counts as drift. <= 0 disables drift detection.
-    double drift_relative_threshold = 0.25;
     // Baseline persistence (crash-atomic). Empty = in-memory only: the
     // first audit of each region seeds its baseline for the process
     // lifetime.
@@ -124,8 +120,6 @@ struct ServiceOptions {
     // mechanisms, so a background pass never pays LP work; on gives full
     // coverage (CLI / rollout gating).
     bool audit_cold_nodes = false;
-    // Cap on nodes visited per region per audit pass; 0 = unlimited.
-    int max_nodes_per_region = 0;
   } auditor;
 };
 
@@ -344,6 +338,17 @@ class SanitizationService {
   };
 
   explicit SanitizationService(const ServiceOptions& options);
+
+  // The install step of RegisterRegion and LoadRegionFromBundle: reserves
+  // the id, runs `build` outside the writer lock, releases the id and
+  // publishes the built region (or releases it and returns the failure).
+  Status InstallRegion(
+      const std::string& region_id,
+      const std::function<StatusOr<std::shared_ptr<Region>>()>& build);
+
+  // Wraps a built sanitizer with its planar-Laplace fallback.
+  static StatusOr<std::shared_ptr<Region>> NewRegion(
+      core::LocationSanitizer sanitizer);
 
   // (id, RegionMetrics(GetRegionInfo(id))) per region of `snap`, by id.
   obs::LabelledMetrics RegionMetricRows(const RegistrySnapshot& snap) const;

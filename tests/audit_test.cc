@@ -308,13 +308,18 @@ TEST(AuditBaselineTest, StoreRoundTripsThroughDiskWithEscapedIds) {
   entry.min_slack = -1.9580924491213348e-16;
   store.Update("plain", entry);
   store.Update("id with spaces\tand%tabs\n", entry);
+  // Longer than a line buffer of a few hundred bytes, and sorted before
+  // the other ids, so a truncated line would swallow the next one.
+  const std::string long_id(600, 'a');
+  store.Update(long_id, entry);
 
   const std::string path = TempPath("audit_baseline_roundtrip.txt");
   ASSERT_TRUE(store.Save(path).ok());
 
   BaselineStore loaded;
   ASSERT_TRUE(loaded.Load(path).ok());
-  ASSERT_EQ(loaded.size(), 2u);
+  ASSERT_EQ(loaded.size(), 3u);
+  ASSERT_NE(loaded.Find(long_id), nullptr);
   const BaselineEntry* got = loaded.Find("id with spaces\tand%tabs\n");
   ASSERT_NE(got, nullptr);
   // %.17g round-trips doubles exactly.
@@ -400,9 +405,6 @@ TEST(SanitizationServiceAuditTest, InvalidAuditorOptionsAreRejected) {
   service::ServiceOptions options;
   options.auditor.cadence_seconds = -1.0;
   EXPECT_FALSE(service::SanitizationService::Create(options).ok());
-  options.auditor.cadence_seconds = 0.0;
-  options.auditor.max_nodes_per_region = -5;
-  EXPECT_FALSE(service::SanitizationService::Create(options).ok());
 }
 
 TEST(SanitizationServiceAuditTest, BackgroundAuditorRunsOnCadence) {
@@ -439,7 +441,6 @@ TEST(SanitizationServiceAuditTest, DriftForcesFlightRecorderRetention) {
   options.num_workers = 1;
   options.auditor.audit_cold_nodes = true;
   options.auditor.baseline_path = baseline_path;
-  options.auditor.drift_relative_threshold = 0.25;
   // Tracing on but head sampling effectively off: only the drift's
   // force-retention flag can land the trace in the flight recorder.
   options.trace.sample_one_in = 1u << 30;

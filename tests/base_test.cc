@@ -80,7 +80,7 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   EXPECT_GE(t0, 0.0);
   // Busy-wait a tiny amount; elapsed must be monotone.
   volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GE(sw.ElapsedSeconds(), t0);
   sw.Reset();
   EXPECT_LT(sw.ElapsedSeconds(), 1.0);

@@ -4,7 +4,7 @@
 // bundle (no solved nodes), robustness against truncation at every
 // section boundary, bit flips in every section, version skew, wrong
 // magic, and hostile edits with recomputed checksums, and the
-// service-level LoadRegionFromBundle path.
+// service-level LoadRegionFromBundle path, including its failures.
 
 #include <algorithm>
 #include <climits>
@@ -657,6 +657,36 @@ TEST(ServiceBundleTest, LoadRegionFromBundleServesAndReportsMetrics) {
 
   EXPECT_FALSE(
       (*service)->LoadRegionFromBundle("nowhere", "/nonexistent/r.gpb2").ok());
+}
+
+// A load that fails — missing file, truncated file — publishes nothing and
+// releases the id it reserved, so the id can still be registered.
+TEST(ServiceBundleTest, FailedLoadReleasesTheId) {
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  auto service = service::SanitizationService::Create(options);
+  ASSERT_TRUE(service.ok());
+  const std::string truncated = TempPath("region_v2_service_trunc.gpb");
+  const std::string bytes = ReadAll(SharedBundlePath());
+  WriteAll(truncated, bytes.substr(0, bytes.size() / 2));
+  for (const std::string& path : {std::string("/nonexistent/r.gpb2"),
+                                  truncated}) {
+    EXPECT_FALSE((*service)->LoadRegionFromBundle("austin", path).ok())
+        << path;
+    EXPECT_EQ((*service)->snapshot_epoch(), 0u) << path;
+  }
+  std::remove(truncated.c_str());
+
+  const RegionSpec spec = SmallSpec();
+  service::RegionConfig config;
+  config.min_lat = spec.min_lat;
+  config.min_lon = spec.min_lon;
+  config.max_lat = spec.max_lat;
+  config.max_lon = spec.max_lon;
+  config.eps = spec.eps;
+  config.granularity = spec.granularity;
+  EXPECT_TRUE((*service)->RegisterRegion("austin", config).ok());
+  EXPECT_EQ((*service)->snapshot_epoch(), 1u);
 }
 
 }  // namespace

@@ -236,14 +236,18 @@ TEST(MsmTest, CachingReusesNodeSolves) {
   auto index = MakeGrid(2, 3);
   auto prior = MakeSkewedPrior();
   MsmOptions opts;
-  // This test exercises the cache layer itself; the serving plan would
-  // route warm walks around it (covered by serving_plan_test).
-  opts.serving_plan = false;
   auto msm = MultiStepMechanism::Create(0.5, index, prior, opts);
   ASSERT_TRUE(msm.ok());
   rng::Rng rng(3);
+  std::vector<Point> targets;
   for (int i = 0; i < 200; ++i) {
-    msm->Report({rng.Uniform(0, 20), rng.Uniform(0, 20)}, rng);
+    targets.push_back({rng.Uniform(0, 20), rng.Uniform(0, 20)});
+  }
+  // This test exercises the cache layer itself. A batch walks against the
+  // serving plan current at its start, which is empty on a cold mechanism,
+  // so every level of every walk goes through the cache.
+  for (const auto& reported : msm->ReportBatchOrStatus(targets, rng)) {
+    ASSERT_TRUE(reported.ok());
   }
   // At most 1 root + 4 level-1 nodes can ever be solved for h=2.
   EXPECT_LE(msm->stats().lp_solves, 5);

@@ -61,6 +61,24 @@ TEST(GowallaLoaderTest, FiltersByBoundsAndSkipsMalformed) {
   EXPECT_EQ(skipped, 2);            // two malformed lines
 }
 
+// Hostile numbers are malformed, not records: strtod accepts every one of
+// these coordinates, and none of them is a place on Earth.
+TEST(GowallaLoaderTest, RejectsNonFiniteAndOutOfRangeCoordinates) {
+  TempFile file(
+      "1\t2010-07-24T13:45:06Z\tnan\t-97.75\t1\n"
+      "2\t2010-07-24T13:45:06Z\t30.25\tinf\t2\n"
+      "3\t2010-07-24T13:45:06Z\t1e999\t-97.75\t3\n"
+      "4\t2010-07-24T13:45:06Z\t512\t-97.75\t4\n"
+      "5\t2010-07-24T13:45:06Z\t30.25\t-180.5\t5\n"
+      "6\t2010-07-24T13:45:06Z\t-90\t180\t6\n");
+  int64_t skipped = 0;
+  auto records = LoadGowallaCheckins(file.path(), nullptr, &skipped);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);  // the pole is on the map
+  EXPECT_EQ((*records)[0].user_id, 6);
+  EXPECT_EQ(skipped, 5);
+}
+
 TEST(GowallaLoaderTest, MissingFileIsIoError) {
   auto records = LoadGowallaCheckins("/nonexistent/gowalla.txt");
   EXPECT_FALSE(records.ok());
@@ -78,6 +96,22 @@ TEST(CsvLoaderTest, AppliesBoundsFilterAndCountsSkips) {
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 1u);
   EXPECT_EQ(skipped, 1);  // the non-numeric body line (header is free)
+}
+
+TEST(CsvLoaderTest, RejectsNonFiniteAndOutOfRangeCoordinates) {
+  TempFile file(
+      "user_id,lat,lon\n"
+      "1,nan,-115.2\n"
+      "2,36.1,-inf\n"
+      "3,36.1,1e999\n"
+      "4,-512,-115.2\n"
+      "5,36.1,-115.2\n");
+  int64_t skipped = 0;
+  auto records = LoadCsvCheckins(file.path(), nullptr, &skipped);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].user_id, 5);
+  EXPECT_EQ(skipped, 4);
 }
 
 TEST(GowallaLoaderTest, ToleratesExtraTrailingFields) {

@@ -323,7 +323,7 @@ TEST(OptimalMechanismTest, ReachesReferenceOptimaAtNodeSizes) {
       for (int z = 0; z < n; ++z) sum += opt->K(x, z);
       EXPECT_NEAR(sum, 1.0, 1e-12) << "g=" << c.g << " x=" << x;
     }
-    EXPECT_LE(opt->MaxGeoIndViolation(), options.violation_tolerance)
+    EXPECT_LE(opt->MaxGeoIndViolation(), kViolationTolerance)
         << "g=" << c.g;
   }
 }

@@ -4,11 +4,11 @@
 //     at every thread count,
 //   * the deadline fires promptly *inside* a pricing scan (not only at
 //     round boundaries),
-//   * strict mode rejects the GeoInd-breaking identity-row degrade while
-//     non-strict counts it,
+//   * an all-zero LP row fails the build instead of degrading to a
+//     GeoInd-breaking identity row,
 //   * zero-mass node priors fall back (counted) to uniform,
-//   * uncached MSM mode and concurrent Create() calls sharing one pool are
-//     race-free (run under TSan in CI).
+//   * concurrent Create() calls sharing one pool and the parallel prewarm
+//     are race-free (run under TSan in CI).
 
 #include <atomic>
 #include <cmath>
@@ -32,8 +32,8 @@
 namespace geopriv::mechanisms {
 
 // Drives FinalizeMatrix directly: an all-zero LP row is unreachable
-// through Create() with a healthy solver, so the degrade handling needs a
-// peer to be testable at all.
+// through Create() with a healthy solver, so its rejection needs a peer to
+// be testable at all.
 class OptimalMechanismTestPeer {
  public:
   static OptimalMechanism Make(double eps,
@@ -43,9 +43,8 @@ class OptimalMechanismTestPeer {
     return OptimalMechanism(eps, std::move(locations), std::move(prior),
                             metric);
   }
-  static Status Finalize(OptimalMechanism& mech, std::vector<double> raw,
-                         bool strict) {
-    return mech.FinalizeMatrix(std::move(raw), strict);
+  static Status Finalize(OptimalMechanism& mech, std::vector<double> raw) {
+    return mech.FinalizeMatrix(std::move(raw));
   }
 };
 
@@ -189,33 +188,18 @@ TEST(OptStrictModeTest, StrictRejectsAllZeroRow) {
   // Row 1 is all-zero: a solver artifact that, rewritten to an identity
   // row, would deterministically reveal location 1.
   const Status status = mechanisms::OptimalMechanismTestPeer::Finalize(
-      mech, {1.0, 0.0, 0.0, 0.0}, /*strict=*/true);
+      mech, {1.0, 0.0, 0.0, 0.0});
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
 }
 
-TEST(OptStrictModeTest, NonStrictCountsDegradedRows) {
-  const std::vector<Point> locs = {{0.0, 0.0}, {1.0, 0.0}};
-  auto mech = mechanisms::OptimalMechanismTestPeer::Make(
-      1.0, locs, {0.5, 0.5}, UtilityMetric::kEuclidean);
-  const Status status = mechanisms::OptimalMechanismTestPeer::Finalize(
-      mech, {1.0, 0.0, 0.0, 0.0}, /*strict=*/false);
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(mech.stats().degraded_rows, 1);
-  // The degraded row became the identity row (and is counted as such).
-  EXPECT_EQ(mech.K(1, 0), 0.0);
-  EXPECT_EQ(mech.K(1, 1), 1.0);
-  EXPECT_EQ(mech.K(0, 0), 1.0);
-}
-
 core::MultiStepMechanism MakeMsm(
-    std::shared_ptr<const prior::Prior> prior, int g, int height,
-    const core::MsmOptions& options = {}) {
+    std::shared_ptr<const prior::Prior> prior, int g, int height) {
   auto grid = spatial::HierarchicalGrid::Create(kDomain, g, height);
   EXPECT_TRUE(grid.ok());
   auto index =
       std::make_shared<spatial::HierarchicalGrid>(std::move(grid).value());
-  auto msm = core::MultiStepMechanism::Create(1.0, index, prior, options);
+  auto msm = core::MultiStepMechanism::Create(1.0, index, prior, {});
   EXPECT_TRUE(msm.ok()) << msm.status();
   return std::move(msm).value();
 }
@@ -248,31 +232,6 @@ TEST(MsmZeroMassPriorTest, EmptyQuadrantFallsBackToUniform) {
     ASSERT_TRUE(reported.ok()) << reported.status();
     EXPECT_TRUE(kDomain.Contains(reported.value()));
   }
-}
-
-// Uncached mode used to share a scratch slot across calls — a data race
-// under concurrent Report(). Every call now builds a privately owned
-// mechanism. (Run under TSan in CI.)
-TEST(MsmUncachedConcurrencyTest, ConcurrentReportsAreSafe) {
-  auto prior = std::make_shared<prior::Prior>(
-      prior::Prior::Uniform(kDomain, 16));
-  core::MsmOptions options;
-  options.cache_nodes = false;
-  const auto msm = MakeMsm(prior, 2, 2, options);
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&msm, &failures, t] {
-      rng::Rng rng(1000 + t);
-      for (int i = 0; i < 8; ++i) {
-        auto reported = msm.ReportOrStatus({10.0, 10.0}, rng);
-        if (!reported.ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(msm.cache_size(), 0u);  // nothing cached in uncached mode
 }
 
 TEST(PrewarmFanoutTest, ParallelWarmsSameCountAsSerial) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/thread_pool.h"
 #include "core/msm.h"
 #include "prior/prior.h"
 #include "rng/rng.h"
@@ -56,6 +57,15 @@ std::unique_ptr<MultiStepMechanism> MakeMsm(const MsmOptions& options,
   return std::make_unique<MultiStepMechanism>(std::move(msm).value());
 }
 
+// Footprint F of the root's solved mechanism. Every node of a uniform grid
+// has as many candidates as the root, so every node's footprint is F.
+size_t RootFootprint() {
+  auto root = MakeMsm({})->NodeMechanism(spatial::HierarchicalPartition::kRoot,
+                                         1);
+  GEOPRIV_CHECK_OK(root.status());
+  return (*root)->MemoryFootprintBytes();
+}
+
 // Walk targets: in-domain points (deterministic snap) plus out-of-domain
 // ones (exercising the UniformInt fallback on the same draw schedule).
 std::vector<Point> WalkTargets(int n) {
@@ -72,12 +82,13 @@ std::vector<Point> WalkTargets(int n) {
 }
 
 TEST(ServingPlanTest, PlanWalkIsBitIdenticalToTheCacheWalk) {
-  MsmOptions with_plan;
-  with_plan.serving_plan = true;
-  MsmOptions without_plan;
-  without_plan.serving_plan = false;
-  auto planned = MakeMsm(with_plan);
-  auto legacy = MakeMsm(without_plan);
+  auto planned = MakeMsm({});
+  // Plans pin at most half the byte budget, so a budget below twice the
+  // root's footprint keeps this side's plan empty: every level of its
+  // walks goes through the cache, re-solving what the budget evicted.
+  MsmOptions cache_only;
+  cache_only.cache_byte_budget = RootFootprint();
+  auto legacy = MakeMsm(cache_only);
 
   // Warm everything so the planned walk stays inside the plan end-to-end.
   ASSERT_TRUE(planned->PrewarmTopNodes(1000).ok());
@@ -127,10 +138,12 @@ TEST(ServingPlanTest, FullyWarmWalkTakesNoCacheLookups) {
 }
 
 TEST(ServingPlanTest, NodeCapFallsThroughBelowTheCappedSubtree) {
+  // A 2F + 1 byte budget lends the plan F bytes: the root and no child.
   MsmOptions options;
-  options.serving_plan_max_nodes = 1;  // plan pins the root only
+  options.cache_byte_budget = 2 * RootFootprint() + 1;
   auto msm = MakeMsm(options);
-  ASSERT_TRUE(msm->PrewarmTopNodes(1000).ok());
+  ASSERT_TRUE(
+      msm->NodeMechanism(spatial::HierarchicalPartition::kRoot, 1).ok());
   ASSERT_EQ(msm->serving_plan_nodes(), 1u);
   rng::Rng rng(7);
   for (const Point& target : WalkTargets(50)) {
@@ -141,6 +154,28 @@ TEST(ServingPlanTest, NodeCapFallsThroughBelowTheCappedSubtree) {
   // Every remaining budget level comes from the cache walk.
   EXPECT_EQ(stats.fallthrough_levels,
             50 * static_cast<int64_t>(msm->height() - 1));
+
+  // The node cap: all 21,845 internal nodes of a g = 2, height 8 grid
+  // warm, and the plan stops at 4,096 of them — every node down to depth
+  // 5 and part of depth 6 — so every walk falls through for its last
+  // level at least, without solving anything.
+  MsmOptions tall;
+  tall.budget.fixed_height = 8;
+  auto deep = MakeMsm(tall, 2, 8);
+  ThreadPool pool(3, 64);
+  auto warmed = deep->PrewarmTopNodes(1 << 15, &pool);
+  pool.Shutdown();
+  ASSERT_TRUE(warmed.ok()) << warmed.status();
+  ASSERT_EQ(warmed.value(), 21845);
+  ASSERT_EQ(deep->serving_plan_nodes(), 4096u);
+  const int64_t solves = deep->stats().lp_solves;
+  for (const Point& target : WalkTargets(50)) {
+    ASSERT_TRUE(deep->ReportOrStatus(target, rng).ok());
+  }
+  const MsmStats deep_stats = deep->stats();
+  EXPECT_EQ(deep_stats.plan_levels + deep_stats.fallthrough_levels, 50 * 8);
+  EXPECT_GE(deep_stats.fallthrough_levels, 50);
+  EXPECT_EQ(deep_stats.lp_solves, solves);
 }
 
 TEST(ServingPlanTest, GenerationMovesRebuildThePlan) {
@@ -218,15 +253,13 @@ TEST(ServingPlanTest, FallThroughWalkSweepsABoundedCacheBackUnderBudget) {
   // Entries pinned while others are inserted are skipped by the evictor,
   // so a bounded cache can stay over budget once the pins go, with no
   // insert left to trigger eviction. The next walk that falls through to
-  // the cache must sweep it back within budget.
+  // the cache must sweep it back within budget. A one-node budget keeps
+  // the plan empty (it pins at most half the budget), so every level
+  // walks the cache.
   MsmOptions options;
-  options.serving_plan = false;  // every level walks the cache
-  auto probe = MakeMsm(options);
-  const spatial::NodeIndex root = spatial::HierarchicalPartition::kRoot;
-  auto root_mech = probe->NodeMechanism(root, 1);
-  ASSERT_TRUE(root_mech.ok());
-  options.cache_byte_budget = (*root_mech)->MemoryFootprintBytes();
+  options.cache_byte_budget = RootFootprint();
   auto msm = MakeMsm(options);
+  const spatial::NodeIndex root = spatial::HierarchicalPartition::kRoot;
 
   // Pin every internal node the budget levels reach, root-down.
   std::vector<NodeMechanismCache::MechanismPtr> pins;
