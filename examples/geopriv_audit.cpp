@@ -1,5 +1,5 @@
 // geopriv_audit: command-line front end for the mechanism-audit engine —
-// audits a published region (a v2 bundle or an equivalent live build)
+// audits a published region (a region bundle or an equivalent live build)
 // and prints its privacy/utility report.
 //
 //   geopriv_audit bundle <path> [options]

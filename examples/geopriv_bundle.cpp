@@ -1,4 +1,4 @@
-// geopriv_bundle: command-line front end for v2 region bundles — the
+// geopriv_bundle: command-line front end for region bundles — the
 // build tier's packaging tool and the serve tier's pre-flight check.
 //
 //   geopriv_bundle build <path> [--eps E] [--granularity G] [--rho R]
@@ -147,8 +147,8 @@ int Verify(const std::string& path, bool deep) {
     std::fprintf(stderr, "verify: %s\n", view.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s: header, TOC, and %zu section checksums OK\n", path.c_str(),
-              view->sections().size());
+  std::printf("%s: header, TOC, and %zu section checksums (XXH64) OK\n",
+              path.c_str(), view->sections().size());
   if (!deep) return 0;
 
   // Deep check: rehydrate the full serving stack and draw reports.

@@ -154,7 +154,7 @@ StatusOr<BuildBundleResult> WriteRegionBundle(
     const std::string& path) {
   if (!base::kLittleEndianHost || sizeof(size_t) != 8) {
     return Status::Unimplemented(
-        "v2 region bundles require a little-endian LP64 host");
+        "region bundles require a little-endian LP64 host");
   }
   GEOPRIV_RETURN_IF_ERROR(ValidateSpec(spec));
   Stopwatch stopwatch;
@@ -189,7 +189,7 @@ StatusOr<BuildBundleResult> BuildRegionBundle(const RegionSpec& spec,
                                               const std::string& path) {
   if (!base::kLittleEndianHost || sizeof(size_t) != 8) {
     return Status::Unimplemented(
-        "v2 region bundles require a little-endian LP64 host");
+        "region bundles require a little-endian LP64 host");
   }
   GEOPRIV_RETURN_IF_ERROR(ValidateSpec(spec));
   Stopwatch stopwatch;

@@ -1,6 +1,6 @@
 // Build tier of the build/serve split: constructs a region (prior, index,
 // budget split), pre-solves its per-node LPs in parallel, and serializes
-// everything — including the solved mechanisms — into a v2 region
+// everything — including the solved mechanisms — into a region
 // bundle. A serving process then mmaps the file and registers the region
 // in milliseconds with zero LP solves (loader.h), instead of re-paying
 // minutes of solver time on every cold start.

@@ -1,21 +1,26 @@
-// On-disk layout of the region bundle ("GPB2"), the one on-disk format.
-// A build-tier process solves a region's per-node LPs once and
-// serializes the solved mechanisms (dense K, alias tables), the
-// annotated prior, and the budget split into one sectioned file; a
-// serving process mmaps it read-only and registers the region with zero
-// LP solves and zero table copies (the mechanism matrices are spans into
-// the mapping). The paper's offline client bundle (Section 3.1) is the
-// same file without a kNodes section: region, index parameters, budget
-// split, and prior, with every node LP solved lazily on first touch.
+// On-disk layout of the region bundle (magic "GPB2", format version 3),
+// the one on-disk format. A build-tier process solves a region's
+// per-node LPs once and serializes the solved mechanisms (dense K, alias
+// tables), the annotated prior, and the budget split into one sectioned
+// file; a serving process mmaps it read-only and registers the region
+// with zero LP solves and zero table copies (the mechanism matrices are
+// spans into the mapping). The paper's offline client bundle (Section
+// 3.1) is the same file without a kNodes section: region, index
+// parameters, budget split, and prior, with every node LP solved lazily
+// on first touch.
 //
 //   header (64 bytes)
-//     magic "GPB2" | endian sentinel u32 (0x01020304) | version u32 (2) |
+//     magic "GPB2" | endian sentinel u32 (0x01020304) | version u32 (3) |
 //     section_count u32 | file_size u64 | toc_offset u64 (= 64) |
-//     header checksum u64 (FNV-1a over the preceding 32 bytes) | zero pad
+//     header checksum u64 (XXH64 over the preceding 32 bytes) | zero pad
 //   TOC at toc_offset: section_count entries, 32 bytes each
 //     id u32 | reserved u32 (0) | offset u64 | size u64 |
-//     checksum u64 (FNV-1a over the section's bytes)
+//     checksum u64 (XXH64 over the section's bytes)
 //   sections, each 64-byte aligned (zero-padded between)
+//
+// Readers accept exactly kVersion: a file of any other version is refused
+// before its checksum is read and must be rebuilt with
+// `geopriv_bundle build`.
 //
 // Sections (ids below; unknown ids are ignored by readers, so the format
 // is forward-extensible):
@@ -30,8 +35,11 @@
 //               f64 locations[2n] (x,y interleaved) | f64 prior[n] |
 //               f64 k[n*n] | f64 alias_prob[n*n] | u64 alias_alias[n*n] |
 //               f64 alias_normalized[n*n]
-//   id 5 is reserved: older builders wrote a serving-plan image there,
-//   which readers skip (the loader rebuilds the plan from the cache).
+//             A node's locations must be, bit for bit, the centers of
+//             its index cell's children in index order (the loader
+//             checks): serving reports those centers, and audits measure
+//             GeoInd on the stored ones.
+//   id 5 is reserved; never reuse it.
 //
 // Every multi-byte field is little-endian. The zero-copy read path
 // reinterprets mapped bytes as host arrays, so it additionally requires a
@@ -48,8 +56,8 @@
 
 namespace geopriv::bundle {
 
-inline constexpr char kMagicV2[4] = {'G', 'P', 'B', '2'};
-inline constexpr uint32_t kVersion = 2;
+inline constexpr char kMagic[4] = {'G', 'P', 'B', '2'};
+inline constexpr uint32_t kVersion = 3;
 inline constexpr size_t kHeaderBytes = 64;
 inline constexpr size_t kTocEntryBytes = 32;
 inline constexpr size_t kSectionAlign = 64;
@@ -73,8 +81,7 @@ struct SectionEntry {
 
 // Decoded kConfig section. Field order in the file: the ten f64s, then
 // the four u32s, then node_count, then a reserved u64 (112 bytes total).
-// The reserved u64 is written as 0; older builders stored their plan
-// node count there, and readers ignore it.
+// The reserved u64 is written as 0 and ignored by readers.
 struct ConfigImage {
   double min_lat = 0.0, min_lon = 0.0, max_lat = 0.0, max_lon = 0.0;
   double eps = 0.0;
@@ -109,17 +116,8 @@ inline constexpr uint64_t NodeBlobBytes(uint64_t n) {
   return kNodeBlobHeaderBytes + 8 * (2 * n + n) + 4 * 8 * n * n;
 }
 
-// FNV-1a, for the header and section checksums.
-inline uint64_t Fnv1a(const void* data, size_t size,
-                      uint64_t seed = 14695981039346656037ull) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = seed;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+// XXH64 with seed 0 (xxh64.cc), for the header and section checksums.
+uint64_t Xxh64(const void* data, size_t size);
 
 inline constexpr size_t AlignUp(size_t v, size_t align) {
   return (v + align - 1) / align * align;

@@ -1,5 +1,7 @@
 #include "bundle/loader.h"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +16,14 @@
 #include "spatial/hierarchical_grid.h"
 
 namespace geopriv::bundle {
+
+namespace {
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+}  // namespace
 
 StatusOr<LoadedRegion> LoadRegion(const RegionBundleView& view,
                                   const RegionLoadOptions& options) {
@@ -89,14 +99,26 @@ StatusOr<LoadedRegion> LoadRegion(const RegionBundleView& view,
           "'" + view.path() + "' stores node " + std::to_string(node.node) +
           " at the wrong index level");
     }
+    // Serving reports the index's child centers, while audits measure
+    // GeoInd on the stored locations: unless the two are the same points,
+    // bit for bit, an audit can pass a matrix that is not private over
+    // the cells it is served on.
+    const std::vector<spatial::ChildInfo> children = index->Children(node.node);
     mechanisms::SolvedMechanismTables tables;
     tables.eps = node.eps_level;
     tables.metric = static_cast<geo::UtilityMetric>(config.metric);
     tables.objective = node.objective;
     tables.locations.reserve(node.n);
     for (int j = 0; j < node.n; ++j) {
-      tables.locations.push_back(
-          {node.locations_xy[2 * j], node.locations_xy[2 * j + 1]});
+      const geo::Point center = children[j].bounds.Center();
+      if (!SameBits(node.locations_xy[2 * j], center.x) ||
+          !SameBits(node.locations_xy[2 * j + 1], center.y)) {
+        return Status::InvalidArgument(
+            "'" + view.path() + "' node " + std::to_string(node.node) +
+            " stores candidate locations that are not its cell's child "
+            "centers");
+      }
+      tables.locations.push_back(center);
     }
     tables.prior.assign(node.prior.begin(), node.prior.end());
     tables.k = node.k;

@@ -1,4 +1,4 @@
-// Serve tier of the build/serve split: turns a mapped v2 region bundle
+// Serve tier of the build/serve split: turns a mapped region bundle
 // into a ready LocationSanitizer with zero LP solves. Every solved node
 // mechanism is rehydrated as spans into the mapping (the dense K and the
 // alias tables are never copied; the mapping is pinned by each mechanism)

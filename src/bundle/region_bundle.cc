@@ -56,13 +56,13 @@ std::string BundleImageWriter::Finish() {
 
   std::string image;
   image.reserve(file_size);
-  image.append(kMagicV2, sizeof(kMagicV2));
+  image.append(kMagic, sizeof(kMagic));
   base::AppendLE32(image, base::kEndianSentinel);
   base::AppendLE32(image, kVersion);
   base::AppendLE32(image, static_cast<uint32_t>(count));
   base::AppendLE64(image, file_size);
   base::AppendLE64(image, toc_offset);
-  base::AppendLE64(image, Fnv1a(image.data(), image.size()));
+  base::AppendLE64(image, Xxh64(image.data(), image.size()));
   image.resize(kHeaderBytes, '\0');
 
   for (size_t i = 0; i < count; ++i) {
@@ -71,7 +71,7 @@ std::string BundleImageWriter::Finish() {
     base::AppendLE64(image, offsets[i]);
     base::AppendLE64(image, sections_[i].bytes.size());
     base::AppendLE64(
-        image, Fnv1a(sections_[i].bytes.data(), sections_[i].bytes.size()));
+        image, Xxh64(sections_[i].bytes.data(), sections_[i].bytes.size()));
   }
   for (size_t i = 0; i < count; ++i) {
     image.resize(offsets[i], '\0');  // inter-section alignment pad
@@ -84,8 +84,8 @@ std::string BundleImageWriter::Finish() {
 StatusOr<RegionBundleView> RegionBundleView::Open(const std::string& path) {
   if (!base::kLittleEndianHost || sizeof(size_t) != 8) {
     return Status::Unimplemented(
-        "v2 region bundles are served zero-copy and require a "
-        "little-endian LP64 host");
+        "region bundles are served zero-copy and require a little-endian "
+        "LP64 host");
   }
   RegionBundleView view;
   GEOPRIV_ASSIGN_OR_RETURN(view.backing_, MappedFile::Open(path));
@@ -101,7 +101,7 @@ Status RegionBundleView::Parse() {
     return Status::InvalidArgument("'" + path +
                                    "' is too small to be a region bundle");
   }
-  if (std::memcmp(data, kMagicV2, sizeof(kMagicV2)) != 0) {
+  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("'" + path + "' is not a region bundle");
   }
   const uint32_t sentinel = ReadU32(data + 4);
@@ -115,14 +115,17 @@ Status RegionBundleView::Parse() {
     return Status::InvalidArgument("'" + path +
                                    "' has a corrupt byte-order sentinel");
   }
+  // Before the checksum: a version-2 file's checksums are FNV-1a, which
+  // this build no longer computes, so it would read as corrupt.
   const uint32_t version = ReadU32(data + 8);
   if (version != kVersion) {
     return Status::InvalidArgument(
-        "'" + path + "' has unsupported region-bundle version " +
-        std::to_string(version) + " (this build reads version " +
-        std::to_string(kVersion) + ")");
+        "'" + path + "' is a region bundle of format version " +
+        std::to_string(version) + "; this build reads only version " +
+        std::to_string(kVersion) +
+        ". Rebuild it from its spec with `geopriv_bundle build`.");
   }
-  if (ReadU64(data + 32) != Fnv1a(data, 32)) {
+  if (ReadU64(data + 32) != Xxh64(data, 32)) {
     return Status::InvalidArgument("'" + path +
                                    "' has a corrupt header (checksum)");
   }
@@ -155,7 +158,7 @@ Status RegionBundleView::Parse() {
           "'" + path + "' section " + std::to_string(entry.id) +
           " is out of bounds or misaligned");
     }
-    if (Fnv1a(data + entry.offset, entry.size) != entry.checksum) {
+    if (Xxh64(data + entry.offset, entry.size) != entry.checksum) {
       return Status::InvalidArgument(
           "'" + path + "' section " + std::to_string(entry.id) +
           " is corrupt (checksum mismatch)");

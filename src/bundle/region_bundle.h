@@ -1,4 +1,4 @@
-// Serialization and zero-copy deserialization of v2 region bundles (see
+// Serialization and zero-copy deserialization of region bundles (see
 // format.h for the byte layout). BundleImageWriter assembles a complete
 // file image (header + TOC + aligned, checksummed sections) in memory;
 // RegionBundleView validates a mapped file and exposes typed spans into
@@ -37,14 +37,15 @@ class BundleImageWriter {
   std::vector<Pending> sections_;
 };
 
-// Validated, typed view over a mapped v2 bundle. Copyable; every copy
+// Validated, typed view over a mapped region bundle. Copyable; every copy
 // shares the mapping. All spans returned point into the mapping and stay
 // valid for as long as any copy of the view (or the backing() pointer
 // handed to a mechanism) is alive.
 class RegionBundleView {
  public:
-  // Maps and validates `path`: magic, endian sentinel, version, header
-  // checksum, file size, TOC bounds/alignment, every section checksum,
+  // Maps and validates `path`: magic, endian sentinel, version (exactly
+  // kVersion), header checksum, file size, TOC bounds/alignment, every
+  // section checksum (XXH64 over every byte of every section),
   // config decode (eps finite and positive), budgets (each finite and
   // positive, summing to eps), the node directory (n = granularity^2),
   // and cross-section size consistency. Requires a little-endian LP64

@@ -85,6 +85,8 @@ MetricsSnapshot Metrics::Snapshot() const {
     s.bundle_loads += slot.bundle_loads.load(std::memory_order_relaxed);
     s.bundle_load_seconds +=
         slot.bundle_load_seconds.load(std::memory_order_relaxed);
+    s.bundle_verify_seconds +=
+        slot.bundle_verify_seconds.load(std::memory_order_relaxed);
     s.bundle_bytes_mapped +=
         slot.bundle_bytes_mapped.load(std::memory_order_relaxed);
     s.plan_warm_at_startup +=
@@ -141,6 +143,7 @@ std::vector<obs::Metric> ServiceMetrics(const MetricsSnapshot& s) {
       {"latency_sum_seconds", kJsonOnly, s.latency_sum_seconds},
       {"bundle_loads", kCounter, s.bundle_loads},
       {"bundle_load_seconds", kGauge, s.bundle_load_seconds},
+      {"bundle_verify_seconds", kGauge, s.bundle_verify_seconds},
       {"bundle_bytes_mapped", kGauge, s.bundle_bytes_mapped},
       {"plan_warm_at_startup", kGauge, s.plan_warm_at_startup},
       {"audit_runs", kCounter, s.audit_runs},

@@ -89,12 +89,14 @@ struct MetricsSnapshot {
   // latency_buckets[i] = samples <= LatencyHistogram::BucketBound(i). The
   // last bucket is open-ended, so latency_buckets.back() == latency_count.
   LatencyHistogram::BucketCounts latency_buckets{};
-  // Cold-start accounting for regions registered from mmapped v2 bundles
-  // (see src/bundle/): load count, cumulative map-to-serving seconds,
-  // total bytes mapped, and serving-plan nodes warm the moment each
-  // region went live.
+  // Cold-start accounting for regions registered from mmapped bundles
+  // (see src/bundle/): load count, cumulative map-to-serving seconds, the
+  // part of them spent in RegionBundleView::Open (map, checksum sweep,
+  // structural checks), total bytes mapped, and serving-plan nodes warm
+  // the moment each region went live.
   uint64_t bundle_loads = 0;
   double bundle_load_seconds = 0.0;
+  double bundle_verify_seconds = 0.0;
   uint64_t bundle_bytes_mapped = 0;
   uint64_t plan_warm_at_startup = 0;
   // Background privacy/utility auditor (src/audit/): completed region
@@ -145,14 +147,18 @@ class Metrics {
     At(slot).latency.Record(seconds);
   }
   // One region registered from an mmapped bundle: `seconds` is the
-  // map-to-serving wall clock, `bytes_mapped` the mapping size,
-  // `plan_nodes` the serving-plan nodes warm at go-live. Registration
-  // happens on the control path, so slot 0 is the natural recorder.
-  void RecordBundleLoad(double seconds, uint64_t bytes_mapped,
-                        uint64_t plan_nodes, int slot = 0) {
+  // map-to-serving wall clock, `verify_seconds` its Open share,
+  // `bytes_mapped` the mapping size, `plan_nodes` the serving-plan nodes
+  // warm at go-live. Registration happens on the control path, so slot 0
+  // is the natural recorder.
+  void RecordBundleLoad(double seconds, double verify_seconds,
+                        uint64_t bytes_mapped, uint64_t plan_nodes,
+                        int slot = 0) {
     Slot& s = At(slot);
     Inc(s.bundle_loads);
     s.bundle_load_seconds.fetch_add(seconds, std::memory_order_relaxed);
+    s.bundle_verify_seconds.fetch_add(verify_seconds,
+                                      std::memory_order_relaxed);
     s.bundle_bytes_mapped.fetch_add(bytes_mapped,
                                     std::memory_order_relaxed);
     s.plan_warm_at_startup.fetch_add(plan_nodes,
@@ -212,6 +218,9 @@ class Metrics {
     std::atomic<uint64_t> audit_baseline_errors{0};
     std::atomic<double> audit_seconds{0.0};
     LatencyHistogram latency;
+    // Control-path only; after the histogram so the fields every request
+    // touches keep their offsets.
+    std::atomic<double> bundle_verify_seconds{0.0};
   };
 
   static void Inc(std::atomic<uint64_t>& c) {

@@ -182,13 +182,15 @@ class SanitizationService {
   Status RegisterRegion(const std::string& region_id,
                         const RegionConfig& config);
 
-  // Registers a region from a v2 bundle (see src/bundle/): mmaps `path`,
+  // Registers a region from a bundle (see src/bundle/): mmaps `path`,
   // publishes every stored mechanism into the node cache as zero-copy
   // views over the mapping, and goes live with a warm serving plan and
   // zero LP solves — the cold-start path of the build/serve split.
   // Same reservation/duplicate semantics as RegisterRegion; also records
-  // Metrics::RecordBundleLoad. The mapping stays pinned while the region
-  // (or any in-flight request that resolved it) is alive.
+  // Metrics::RecordBundleLoad, with Open's share (map, checksum sweep,
+  // structural checks) as the verify time. The mapping stays pinned
+  // while the region (or any in-flight request that resolved it) is
+  // alive.
   Status LoadRegionFromBundle(const std::string& region_id,
                               const std::string& path,
                               const BundleRegionOptions& options = {});

@@ -1,4 +1,5 @@
-// Tests for the v2 region-bundle subsystem (src/bundle/): build ->
+// Tests for the region-bundle subsystem (src/bundle/): the XXH64
+// checksum on its published vectors and every tail branch, build ->
 // mmap -> serve round trip, bit-identity of bundle-loaded regions
 // against scratch-built ones, zero LP solves at load, the offline client
 // bundle (no solved nodes), robustness against truncation at every
@@ -19,12 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
 #include "bundle/builder.h"
 #include "bundle/format.h"
 #include "bundle/loader.h"
 #include "bundle/region_bundle.h"
 #include "core/location_sanitizer.h"
 #include "prior/prior.h"
+#include "rng/alias_sampler.h"
 #include "rng/rng.h"
 #include "service/sanitization_service.h"
 
@@ -143,10 +146,19 @@ size_t Budget(const Layout& l, size_t level) {
 }
 size_t DirEntry(const Layout& l, size_t i) { return l.nodes + 8 + 32 * i; }
 size_t Blob(const Layout& l, size_t i) { return l.nodes + l.dir[i].offset; }
-// Start of node i's alias_prob table; its alias_alias table follows.
+// Start of node i's x/y-interleaved locations.
+size_t Locations(const Layout& l, size_t i) {
+  return Blob(l, i) + kNodeBlobHeaderBytes;
+}
+// Start of node i's K; its alias_prob, alias_alias and alias_normalized
+// tables follow, n*n entries each.
+size_t K(const Layout& l, size_t i) {
+  const size_t n = l.dir[i].n;
+  return Locations(l, i) + 8 * 3 * n;
+}
 size_t AliasProb(const Layout& l, size_t i) {
   const size_t n = l.dir[i].n;
-  return Blob(l, i) + kNodeBlobHeaderBytes + 8 * (3 * n + n * n);
+  return K(l, i) + 8 * n * n;
 }
 
 template <typename T>
@@ -164,10 +176,9 @@ using Edit = std::function<void(std::string& bytes, const Layout& layout)>;
 
 // Applies `edit` to a copy of the bundle at `source_path` and recomputes
 // every TOC checksum, so only the semantic checks stand between the edit
-// and the server. Then opens, loads, and serves one report, returning the
-// first non-OK status (OK when all three accept the file).
-Status OpenLoadAndServeEdited(
-    const Edit& edit, const std::string& source_path = SharedBundlePath()) {
+// and the server. Writes the result to a file of the running test's own
+// and returns its path.
+std::string WriteEdited(const Edit& edit, const std::string& source_path) {
   std::string bytes = ReadAll(source_path);
   auto source = RegionBundleView::Open(source_path);
   EXPECT_TRUE(source.ok()) << source.status().ToString();
@@ -176,7 +187,7 @@ Status OpenLoadAndServeEdited(
   for (size_t i = 0; i < layout.sections.size(); ++i) {
     const SectionEntry& section = layout.sections[i];
     Put<uint64_t>(bytes, kHeaderBytes + i * kTocEntryBytes + 24,
-                  Fnv1a(bytes.data() + section.offset, section.size));
+                  Xxh64(bytes.data() + section.offset, section.size));
   }
   // One file per test: ctest runs tests as parallel processes, and
   // rewriting a file another process has mapped would fault its reads.
@@ -185,6 +196,14 @@ Status OpenLoadAndServeEdited(
           ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
       ".gpb");
   WriteAll(path, bytes);
+  return path;
+}
+
+// Opens, loads, and serves one report from the edited bundle, returning
+// the first non-OK status (OK when all three accept the file).
+Status OpenLoadAndServeEdited(
+    const Edit& edit, const std::string& source_path = SharedBundlePath()) {
+  const std::string path = WriteEdited(edit, source_path);
   const Status status = [&]() -> Status {
     GEOPRIV_ASSIGN_OR_RETURN(const RegionBundleView view,
                              RegionBundleView::Open(path));
@@ -195,6 +214,46 @@ Status OpenLoadAndServeEdited(
   }();
   std::remove(path.c_str());
   return status;
+}
+
+// XXH64 (seed 0) of `s`, for the checksum vectors below.
+uint64_t Xxh64Of(const std::string& s) { return Xxh64(s.data(), s.size()); }
+
+TEST(RegionBundleV2Test, ChecksumMatchesThePublishedXxh64Vectors) {
+  EXPECT_EQ(Xxh64Of(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(Xxh64Of("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(Xxh64Of("abc"), 0x44bc2cf5ad770999ull);
+  // 39 bytes: one 32-byte stripe through the four lanes, then the tails.
+  EXPECT_EQ(Xxh64Of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(RegionBundleV2Test, ChecksumCoversEveryTailBranch) {
+  // Prefixes of one text, one length per combination of the short-input
+  // path or 1-3 stripes with the 8-, 4- and 1-byte tails. The low 32 bits
+  // of each value agree with the content checksum of a zstd frame, which
+  // is XXH64 computed by an independent implementation.
+  std::string text;
+  for (int i = 0; i < 3; ++i) text += "Nobody inspects the spammish repetition";
+  const std::pair<size_t, uint64_t> vectors[] = {
+      {2, 0x3561a2d89a87b722ull},    // 1-byte tail only
+      {4, 0x265faa35d7afec64ull},    // 4-byte tail only
+      {7, 0xb0e815555cf3e789ull},    // 4 + 1 + 1 + 1
+      {8, 0x93fc083b5a3f012cull},    // 8-byte tail only
+      {12, 0xa45d439f3f93e297ull},   // 8 + 4
+      {15, 0xbbb5df1ca276ff74ull},   // 8 + 4 + 1 + 1 + 1
+      {31, 0xc1a0e0ae86e1d78cull},   // longest input without a stripe
+      {32, 0x96f5bfcbfe7f0d1aull},   // one stripe, no tail
+      {33, 0x977f4aa19d128181ull},   // stripe + 1
+      {36, 0xfde2562a393270b7ull},   // stripe + 4
+      {40, 0xd9138fd97a74b6d8ull},   // stripe + 8
+      {63, 0x9c282837b18c4135ull},   // stripe + 8 + 8 + 8 + 4 + 1 + 1 + 1
+      {64, 0xc3391970d5fcc409ull},   // two stripes
+      {100, 0x14a22035e1bdf78bull},  // three stripes + 4
+  };
+  for (const auto& [size, want] : vectors) {
+    EXPECT_EQ(Xxh64(text.data(), size), want) << "length " << size;
+  }
 }
 
 TEST(RegionBundleV2Test, OpenValidatesAndExposesTheConfig) {
@@ -329,26 +388,27 @@ TEST(RegionBundleV2Test, ChecksumsCatchABitFlipInEverySection) {
 }
 
 TEST(RegionBundleV2Test, RejectsVersionSkewInBothDirections) {
-  // Future version in a v2 envelope: rejected by name, both versions in
-  // the message.
+  // A version-2 file (FNV-1a checksums, otherwise the same layout) and a
+  // future version 4 in the same envelope: each is refused by its version,
+  // before any checksum is read, with both versions and the rebuild
+  // command in the message.
   std::string bytes = ReadAll(SharedBundlePath());
-  bytes[8] = 3;  // version field (u32 LE at offset 8)
   const std::string path = TempPath("region_v2_skew.gpb");
-  WriteAll(path, bytes);
-  auto skewed = RegionBundleView::Open(path);
-  ASSERT_FALSE(skewed.ok());
-  EXPECT_NE(skewed.status().message().find("version 3"), std::string::npos)
-      << skewed.status().message();
-  EXPECT_NE(skewed.status().message().find("version 2"), std::string::npos)
-      << skewed.status().message();
-
-  // An older version in the same envelope is refused the same way.
-  bytes[8] = 1;
-  WriteAll(path, bytes);
-  auto older = RegionBundleView::Open(path);
-  ASSERT_FALSE(older.ok());
-  EXPECT_NE(older.status().message().find("version 1"), std::string::npos)
-      << older.status().message();
+  for (const int version : {2, 4}) {
+    bytes[8] = static_cast<char>(version);  // version (u32 LE at offset 8)
+    WriteAll(path, bytes);
+    auto skewed = RegionBundleView::Open(path);
+    ASSERT_FALSE(skewed.ok()) << "version " << version << " accepted";
+    const std::string& message = skewed.status().message();
+    EXPECT_EQ(skewed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(message.find("version " + std::to_string(version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("version 3"), std::string::npos) << message;
+    EXPECT_NE(message.find("geopriv_bundle build"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("checksum"), std::string::npos) << message;
+  }
   std::remove(path.c_str());
 }
 
@@ -478,6 +538,58 @@ TEST(RegionBundleV2Test, RejectsANodeStoredAtTheWrongIndexLevel) {
     });
     EXPECT_FALSE(status.ok()) << "node id " << id << " accepted";
   }
+}
+
+TEST(RegionBundleV2Test, RejectsStoredLocationsThatAreNotTheChildCenters) {
+  // Every node's K becomes the identity, with the alias tables a builder
+  // would write for it: each report is the true cell, which is no privacy.
+  const Edit identity = [](std::string& bytes, const Layout& l) {
+    for (size_t i = 0; i < l.dir.size(); ++i) {
+      const size_t n = l.dir[i].n;
+      const size_t nn = n * n;
+      for (size_t x = 0; x < n; ++x) {
+        std::vector<double> row(n, 0.0);
+        row[x] = 1.0;
+        auto sampler = rng::AliasSampler::Create(row);
+        ASSERT_TRUE(sampler.ok());
+        for (size_t z = 0; z < n; ++z) {
+          const size_t at = 8 * (x * n + z);
+          Put(bytes, K(l, i) + at, row[z]);
+          Put(bytes, AliasProb(l, i) + at, sampler->prob_table()[z]);
+          Put<uint64_t>(bytes, AliasProb(l, i) + 8 * nn + at,
+                        sampler->alias_table()[z]);
+          Put(bytes, AliasProb(l, i) + 16 * nn + at,
+              sampler->normalized_table()[z]);
+        }
+      }
+    }
+  };
+  // The control: over the stored child centers, the audit sees the leak.
+  const std::string path = WriteEdited(identity, SharedBundlePath());
+  auto view = RegionBundleView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto report = audit::AuditBundle(*view);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->max_violation, 0.1);
+  std::remove(path.c_str());
+
+  // Scaling every stored location by 1000 puts each candidate pair 1000
+  // times farther apart, where the identity passes the e^(eps*d) bound.
+  // Serving would still report the real child centers, so the loader
+  // must refuse the bundle rather than let the audit measure other points.
+  const Status status =
+      OpenLoadAndServeEdited([&](std::string& bytes, const Layout& l) {
+        identity(bytes, l);
+        for (size_t i = 0; i < l.dir.size(); ++i) {
+          for (size_t j = 0; j < 2 * size_t{l.dir[i].n}; ++j) {
+            const size_t at = Locations(l, i) + 8 * j;
+            Put(bytes, at, 1000.0 * Get<double>(bytes, at));
+          }
+        }
+      });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("child centers"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(RegionBundleV2Test, RejectsANodeWhoseCandidateCountIsNotTheFanout) {

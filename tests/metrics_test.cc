@@ -56,14 +56,16 @@ TEST(MetricsSchemaTest, ToJsonEmitsExactlyTheDocumentedKeysInOrder) {
 
 TEST(MetricsSchemaTest, RecordBundleLoadFlowsIntoSnapshotJsonAndText) {
   Metrics metrics(2);
-  metrics.RecordBundleLoad(/*seconds=*/0.25, /*bytes_mapped=*/1 << 20,
-                           /*plan_nodes=*/21);
-  metrics.RecordBundleLoad(/*seconds=*/0.50, /*bytes_mapped=*/2 << 20,
-                           /*plan_nodes=*/21, /*slot=*/1);
+  metrics.RecordBundleLoad(/*seconds=*/0.25, /*verify_seconds=*/0.0625,
+                           /*bytes_mapped=*/1 << 20, /*plan_nodes=*/21);
+  metrics.RecordBundleLoad(/*seconds=*/0.50, /*verify_seconds=*/0.125,
+                           /*bytes_mapped=*/2 << 20, /*plan_nodes=*/21,
+                           /*slot=*/1);
 
   const MetricsSnapshot s = metrics.Snapshot();
   EXPECT_EQ(s.bundle_loads, 2u);
   EXPECT_DOUBLE_EQ(s.bundle_load_seconds, 0.75);
+  EXPECT_DOUBLE_EQ(s.bundle_verify_seconds, 0.1875);
   EXPECT_EQ(s.bundle_bytes_mapped, 3u << 20);
   EXPECT_EQ(s.plan_warm_at_startup, 42u);
 
@@ -78,6 +80,9 @@ TEST(MetricsSchemaTest, RecordBundleLoadFlowsIntoSnapshotJsonAndText) {
   const std::string text = metrics.ToPrometheus("geopriv_");
   EXPECT_NE(text.find("# TYPE geopriv_bundle_loads_total counter\n"
                       "geopriv_bundle_loads_total 2\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE geopriv_bundle_verify_seconds gauge\n"
+                      "geopriv_bundle_verify_seconds 0.187500000\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE geopriv_bundle_bytes_mapped gauge"),
             std::string::npos);
@@ -380,8 +385,8 @@ TEST(MetricsGoldenTest, ServiceCounters) {
   for (const double seconds : {0.5e-6, 0.001, 0.004, 0.25, 2.0, 150.0}) {
     metrics.RecordLatency(seconds, /*slot=*/1);
   }
-  metrics.RecordBundleLoad(0.25, 1 << 20, 21, /*slot=*/0);
-  metrics.RecordBundleLoad(0.5, 3 << 20, 10, /*slot=*/2);
+  metrics.RecordBundleLoad(0.25, 0.0625, 1 << 20, 21, /*slot=*/0);
+  metrics.RecordBundleLoad(0.5, 0.125, 3 << 20, 10, /*slot=*/2);
   repeat(9, [&](int slot) {
     metrics.RecordAuditRun(11, slot + 1, 0.125, slot);
   });
