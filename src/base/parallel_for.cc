@@ -10,8 +10,7 @@
 
 namespace geopriv {
 
-int EffectiveParallelism(const ThreadPool* pool, int requested) {
-  if (requested > 0) return requested;
+int EffectiveParallelism(const ThreadPool* pool) {
   return pool != nullptr ? pool->num_threads() + 1 : 1;
 }
 

@@ -35,10 +35,10 @@ class ThreadPool;
 void ParallelChunks(ThreadPool* pool, int parallelism, int num_chunks,
                     const std::function<void(int chunk)>& fn);
 
-// Effective total parallelism for a caller-supplied pool: `requested` when
-// positive, otherwise pool->num_threads() + 1 (every pool worker plus the
-// calling thread), or 1 without a pool.
-int EffectiveParallelism(const ThreadPool* pool, int requested);
+// Effective total parallelism for a caller-supplied pool:
+// pool->num_threads() + 1 (every pool worker plus the calling thread), or 1
+// without a pool.
+int EffectiveParallelism(const ThreadPool* pool);
 
 }  // namespace geopriv
 

@@ -1,6 +1,7 @@
 #include "lp/revised_simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -95,10 +96,10 @@ class Core {
   void SetMoves(int j);
   // Applies the pivot row held in alpha_ to the reduced costs (d_j -=
   // theta alpha_j) and the Devex weights (raised to alpha_j^2
-  // devex_scale), zeroing alpha_, then picks the next entering candidates.
-  // Both are sequential sweeps over every column; the update also touches
-  // basic and fixed columns, whose values are never read, so that it
-  // needs no branches.
+  // devex_scale), zeroing alpha_, then picks the Devex entering column.
+  // The update and the scoring are branch-free sweeps over every column,
+  // so that they vectorize; the update also touches basic and fixed
+  // columns, whose values are never read.
   void UpdateAndPrice(double theta, double devex_scale);
   double Objective(const std::vector<double>& cost) const;
   void ResetDevex() { devex_.assign(NumVars(), 1.0); }
@@ -173,10 +174,11 @@ class Core {
   // free); 0 for basic and fixed variables.
   std::vector<uint8_t> moves_;
   // The entering variable under Devex (largest d_j^2 / weight_j, ties to
-  // the lowest index) and under Bland's rule (lowest eligible index), as
-  // of the last UpdateAndPrice; -1 when no variable is eligible.
+  // the lowest index) as of the last UpdateAndPrice; -1 when no variable
+  // is eligible.
   int devex_enter_ = -1;
-  int bland_enter_ = -1;
+  // Pricing scratch: each column's Devex score as its bit pattern.
+  std::vector<uint64_t> score_;
   // Devex reference weights (Forrest-Goldfarb), one per variable. Reset
   // to 1 at the start and on runaway growth; grown multiplicatively on
   // pivots. Pricing picks the eligible column maximizing d_j^2 / weight_j,
@@ -644,19 +646,23 @@ void Core::UpdateAndPrice(double theta, double devex_scale) {
     d[j] -= theta * a;
     devex[j] = std::max(devex[j], a * a * devex_scale);
   }
-  devex_enter_ = -1;
-  bland_enter_ = -1;
-  double best = 0.0;
+  // Devex-weighted score d_j^2 / weight_j, which favors directions with a
+  // small projected norm, or 0 for a column that is not eligible. Scores
+  // are non-negative, and non-negative doubles order like their bit
+  // patterns, so an integer max and a scan for its first holder pick the
+  // lowest-index column of the largest score. A NaN score would order
+  // above every number: it is stored as 0 and never enters.
+  uint64_t* score = score_.data();
   for (int j = 0; j < n; ++j) {
-    if (Direction(j) == 0.0) continue;
-    if (bland_enter_ < 0) bland_enter_ = j;
-    // Devex-weighted score: favors directions with small projected norm.
-    const double score = d[j] * d[j] / devex[j];
-    if (score > best) {
-      best = score;
-      devex_enter_ = j;
-    }
+    const double s = d[j] * d[j] / devex[j];
+    score[j] = std::bit_cast<uint64_t>(
+        (Direction(j) != 0.0 && s > 0.0) ? s : 0.0);
   }
+  uint64_t best = 0;
+  for (int j = 0; j < n; ++j) best = std::max(best, score[j]);
+  devex_enter_ =
+      best == 0 ? -1 : static_cast<int>(std::find(score, score + n, best) -
+                                        score);
 }
 
 double Core::Objective(const std::vector<double>& cost) const {
@@ -666,7 +672,14 @@ double Core::Objective(const std::vector<double>& cost) const {
 }
 
 Core::StepResult Core::Iterate(bool bland, double* objective_delta) {
-  const int enter = bland ? bland_enter_ : devex_enter_;
+  int enter = devex_enter_;
+  if (bland) {
+    // Bland's rule: the lowest-index eligible column.
+    enter = -1;
+    for (int j = 0; j < NumVars() && enter < 0; ++j) {
+      if (Direction(j) != 0.0) enter = j;
+    }
+  }
   if (enter < 0) return StepResult::kOptimal;
   const double enter_dir = Direction(enter);
 
@@ -873,6 +886,7 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
   if (!warm_ok) ColdStart();
   BuildRowCopy();
   alpha_.assign(NumVars(), 0.0);
+  score_.resize(NumVars());
   ResetDevex();
 
   const auto finish = [&](SolveStatus status) -> LpSolution& {

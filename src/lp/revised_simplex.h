@@ -3,9 +3,9 @@
 // Solves Model (min/max c'x, sparse rows, box bounds) via the classical
 // two-phase method: phase 1 minimizes the sum of artificial variables to
 // find a feasible basis, phase 2 optimizes the true objective. Pricing is
-// Devex (approximate steepest edge) over an incrementally maintained list
-// of dual-infeasible columns, falling back to Bland's rule after a run of
-// degenerate pivots.
+// Devex (approximate steepest edge) over every column, in passes that
+// vectorize, falling back to Bland's rule after a run of degenerate
+// pivots.
 //
 // The basis is never inverted. It is held as a sparse LU factorization
 // (left-looking, partial pivoting, columns ordered by nonzero count) and

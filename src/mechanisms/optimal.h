@@ -57,11 +57,9 @@ struct OptimalMechanismOptions {
   // parallelism, so it is safe to Create() from one of the pool's own
   // workers), and a parallel run is bit-identical to a serial one:
   // pricing slices merge in z order and every table element is computed
-  // once from the same inputs. Not owned; must outlive the Create() call.
+  // once from the same inputs. Construction uses every pool worker plus
+  // the calling thread. Not owned; must outlive the Create() call.
   ThreadPool* pricing_pool = nullptr;
-  // Total construction threads (pool helpers + the calling thread);
-  // 0 = pool size + 1.
-  int pricing_threads = 0;
 };
 
 // Column generation treats a GeoInd constraint as violated when its
@@ -76,7 +74,9 @@ struct OptSolveStats {
   double objective = 0.0;    // expected utility loss under the prior
   // Wall-clock split of solve_seconds between the two phases of column
   // generation, for the pricing-vs-simplex balance the parallel pipeline
-  // is tuned against.
+  // is tuned against. pricing_seconds is the scan for violated GeoInd
+  // constraints; the simplex's own Devex pricing counts in
+  // simplex_seconds.
   double pricing_seconds = 0.0;
   double simplex_seconds = 0.0;
   // Basis refactorizations inside simplex_seconds and their wall-clock

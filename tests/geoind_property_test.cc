@@ -89,13 +89,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ParallelOptGeoIndTest, ParallelBuiltMatrixSatisfiesAllConstraints) {
   // The privacy invariant must survive the parallel construction pipeline
   // too: audit a matrix built with pricing fanned out across a pool.
-  ThreadPool pool(4, 64);
+  ThreadPool pool(3, 64);
   rng::Rng rng(29);
   const int g = 4;
   spatial::UniformGrid grid(kDomain, g);
   mechanisms::OptimalMechanismOptions options;
   options.pricing_pool = &pool;
-  options.pricing_threads = 4;
   auto opt = mechanisms::OptimalMechanism::Create(
       0.5, grid.AllCenters(), MakePrior(PriorKind::kSkewed, g * g, rng),
       UtilityMetric::kEuclidean, options);

@@ -205,6 +205,21 @@ TEST(SimplexTest, BoxBoundsAndBoundFlips) {
   VerifyKkt(m, sol);
 }
 
+TEST(SimplexTest, DevexTieEntersLowestIndex) {
+  // max x0 + x1 with x0 + x1 <= 1, 0 <= x <= 1. Both columns price at the
+  // same Devex score, so pricing must pick x0, which flips to its upper
+  // bound and fills the row; x1 then enters degenerately at 0. Entering
+  // x1 first would end at the other optimal vertex, (0, 1).
+  Model m(ObjectiveSense::kMaximize);
+  const int x0 = m.AddVariable(0.0, 1.0, 1.0);
+  const int x1 = m.AddVariable(0.0, 1.0, 1.0);
+  m.AddConstraint(ConstraintSense::kLessEqual, 1.0, {{x0, 1.0}, {x1, 1.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal());
+  EXPECT_EQ(sol.x[x0], 1.0);
+  EXPECT_EQ(sol.x[x1], 0.0);
+}
+
 TEST(SimplexTest, FreeVariables) {
   // min |structure| with free y: min x s.t. x + y = 3, y <= 1, x >= 0.
   // y free otherwise: best is y = 1, x = 2.

@@ -65,14 +65,11 @@ std::vector<double> SkewedPrior(int n) {
   return prior;
 }
 
-mechanisms::OptimalMechanism BuildOpt(int g, double eps,
-                                      ThreadPool* pool, int threads,
-                                      double time_limit = 0.0) {
+// Builds with every worker of `pool` plus the calling thread.
+mechanisms::OptimalMechanism BuildOpt(int g, double eps, ThreadPool* pool) {
   spatial::UniformGrid grid(kDomain, g);
   mechanisms::OptimalMechanismOptions options;
   options.pricing_pool = pool;
-  options.pricing_threads = threads;
-  if (time_limit > 0.0) options.solver.time_limit_seconds = time_limit;
   auto opt = mechanisms::OptimalMechanism::Create(
       eps, grid.AllCenters(), SkewedPrior(g * g),
       UtilityMetric::kEuclidean, options);
@@ -84,10 +81,10 @@ mechanisms::OptimalMechanism BuildOpt(int g, double eps,
 // scan sliced per thread would generate a different column sequence
 // unless the slices merge in z order.
 TEST(ParallelPricingTest, DeterministicAcrossThreadCounts) {
-  const auto serial = BuildOpt(5, 1.2, nullptr, 0);
+  const auto serial = BuildOpt(5, 1.2, nullptr);
   for (int t : {2, 4, 8}) {
-    ThreadPool pool(t, 64);
-    const auto parallel = BuildOpt(5, 1.2, &pool, t);
+    ThreadPool pool(t - 1, 64);
+    const auto parallel = BuildOpt(5, 1.2, &pool);
     pool.Shutdown();
     EXPECT_EQ(parallel.stats().rounds, serial.stats().rounds) << t;
     EXPECT_EQ(parallel.stats().generated_columns,
@@ -108,7 +105,7 @@ TEST(ParallelPricingTest, DeterministicAcrossThreadCounts) {
 }
 
 TEST(ParallelPricingTest, StatsSplitSolveTime) {
-  const auto opt = BuildOpt(4, 1.0, nullptr, 0);
+  const auto opt = BuildOpt(4, 1.0, nullptr);
   const auto& stats = opt.stats();
   EXPECT_GT(stats.violations_found, 0);
   EXPECT_GE(stats.pricing_seconds, 0.0);
@@ -140,11 +137,10 @@ TEST(ParallelPricingTest, DeadlineFiresPromptlyInsidePricing) {
 }
 
 TEST(ParallelPricingTest, DeadlineFiresWithParallelPricing) {
-  ThreadPool pool(4, 64);
+  ThreadPool pool(3, 64);
   spatial::UniformGrid grid(kDomain, 7);
   mechanisms::OptimalMechanismOptions options;
   options.pricing_pool = &pool;
-  options.pricing_threads = 4;
   options.solver.time_limit_seconds = 0.01;
   const Stopwatch watch;
   auto opt = mechanisms::OptimalMechanism::Create(
@@ -162,13 +158,13 @@ TEST(ParallelPricingTest, DeadlineFiresWithParallelPricing) {
 // thread participates in its own build, so nothing deadlocks and the
 // results match the serial ones. (Run under TSan in CI.)
 TEST(ParallelPricingTest, ConcurrentCreatesShareOnePool) {
-  const auto serial = BuildOpt(4, 0.8, nullptr, 0);
-  ThreadPool pool(4, 64);
+  const auto serial = BuildOpt(4, 0.8, nullptr);
+  ThreadPool pool(3, 64);
   std::vector<std::thread> threads;
   std::atomic<int> mismatches{0};
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([&] {
-      const auto parallel = BuildOpt(4, 0.8, &pool, 4);
+      const auto parallel = BuildOpt(4, 0.8, &pool);
       for (int x = 0; x < 16; ++x) {
         for (int z = 0; z < 16; ++z) {
           if (parallel.K(x, z) != serial.K(x, z)) mismatches.fetch_add(1);

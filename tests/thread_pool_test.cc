@@ -169,11 +169,9 @@ TEST(ParallelChunksTest, ShutDownPoolFallsBackToCaller) {
 }
 
 TEST(ParallelChunksTest, EffectiveParallelismResolution) {
-  EXPECT_EQ(EffectiveParallelism(nullptr, 0), 1);
-  EXPECT_EQ(EffectiveParallelism(nullptr, 7), 7);
+  EXPECT_EQ(EffectiveParallelism(nullptr), 1);
   ThreadPool pool(3, 8);
-  EXPECT_EQ(EffectiveParallelism(&pool, 0), 4);  // workers + caller
-  EXPECT_EQ(EffectiveParallelism(&pool, 2), 2);
+  EXPECT_EQ(EffectiveParallelism(&pool), 4);  // workers + caller
   pool.Shutdown();
 }
 
