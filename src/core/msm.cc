@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <utility>
 
@@ -68,6 +69,12 @@ MsmStats MultiStepMechanism::stats() const {
 StatusOr<std::unique_ptr<mechanisms::OptimalMechanism>>
 MultiStepMechanism::BuildNodeMechanism(spatial::NodeIndex node,
                                        int level) const {
+  GEOPRIV_CHECK_MSG(level >= 1 && level <= budget_.height(),
+                    "level outside allocation");
+  std::shared_ptr<const mechanisms::OptTemplate> level_template;
+  if (level >= 2) {
+    GEOPRIV_ASSIGN_OR_RETURN(level_template, LevelTemplate(level));
+  }
   const std::vector<spatial::ChildInfo> children = index_->Children(node);
   std::vector<geo::Point> centers;
   std::vector<geo::BBox> boxes;
@@ -90,23 +97,27 @@ MultiStepMechanism::BuildNodeMechanism(spatial::NodeIndex node,
     stats_->Local().uniform_prior_fallbacks.fetch_add(
         1, std::memory_order_relaxed);
   }
-  GEOPRIV_CHECK_MSG(level >= 1 && level <= budget_.height(),
-                    "level outside allocation");
-  obs::RequestTrace* const trace = obs::ActiveTrace();
-  const uint64_t build_start = trace != nullptr ? obs::NowTicks() : 0;
+  const uint64_t build_start =
+      obs::ActiveTrace() != nullptr ? obs::NowTicks() : 0;
   GEOPRIV_ASSIGN_OR_RETURN(
       mechanisms::OptimalMechanism mech,
-      mechanisms::OptimalMechanism::Create(budget_.per_level[level - 1],
-                                           std::move(centers), node_prior,
-                                           options_.metric, options_.opt));
-  const mechanisms::OptSolveStats& os = mech.stats();
-  if (trace != nullptr) {
+      mechanisms::OptimalMechanism::Create(
+          budget_.per_level[level - 1], std::move(centers), node_prior,
+          options_.metric, options_.opt, level_template.get()));
+  RecordLp(mech.stats(), build_start, node, level, /*node_solve=*/true);
+  return std::make_unique<mechanisms::OptimalMechanism>(std::move(mech));
+}
+
+void MultiStepMechanism::RecordLp(const mechanisms::OptSolveStats& os,
+                                  uint64_t start, spatial::NodeIndex node,
+                                  int level, bool node_solve) const {
+  if (obs::RequestTrace* const trace = obs::ActiveTrace()) {
     // LP phase spans, laid end-to-end inside the build window and sized by
     // the solver's own phase clocks (pricing / refactorize / pivoting; the
     // refactorizations run inside simplex_seconds, so pivoting gets the
     // remainder). Payload: node index and budget level only.
     const uint64_t build_end = obs::NowTicks();
-    uint64_t t = build_start;
+    uint64_t t = start;
     const auto phase = [&](obs::SpanKind kind, double seconds) {
       const uint64_t end = std::min(
           t + obs::SecondsToTicks(std::max(seconds, 0.0)), build_end);
@@ -119,7 +130,7 @@ MultiStepMechanism::BuildNodeMechanism(spatial::NodeIndex node,
           os.simplex_seconds - os.refactor_seconds);
   }
   AtomicStats::Slot& slot = stats_->Local();
-  slot.lp_solves.fetch_add(1, std::memory_order_relaxed);
+  if (node_solve) slot.lp_solves.fetch_add(1, std::memory_order_relaxed);
   slot.lp_seconds.fetch_add(os.solve_seconds, std::memory_order_relaxed);
   slot.lp_pricing_seconds.fetch_add(os.pricing_seconds,
                                     std::memory_order_relaxed);
@@ -129,7 +140,76 @@ MultiStepMechanism::BuildNodeMechanism(spatial::NodeIndex node,
                                      std::memory_order_relaxed);
   slot.lp_violations_found.fetch_add(os.violations_found,
                                      std::memory_order_relaxed);
-  return std::make_unique<mechanisms::OptimalMechanism>(std::move(mech));
+}
+
+StatusOr<std::shared_ptr<const mechanisms::OptTemplate>>
+MultiStepMechanism::LevelTemplate(int level) const {
+  TemplateState& ts = *templates_;
+  const size_t slot = static_cast<size_t>(level - 1);
+  std::unique_lock<std::mutex> lock(ts.mu);
+  if (ts.ready[slot] != nullptr) return ts.ready[slot];
+  if (const std::shared_ptr<TemplateState::Build> build = ts.inflight[slot]) {
+    ts.cv.wait(lock, [&] { return build->done; });
+    if (!build->status.ok()) return build->status;
+    return build->result;
+  }
+  const auto build = std::make_shared<TemplateState::Build>();
+  ts.inflight[slot] = build;
+  lock.unlock();
+  StatusOr<std::shared_ptr<const mechanisms::OptTemplate>> built =
+      BuildLevelTemplate(level);
+  lock.lock();
+  ts.inflight[slot] = nullptr;
+  build->done = true;
+  if (built.ok()) {
+    build->result = ts.ready[slot] = *built;
+  } else {
+    build->status = built.status();
+  }
+  ts.cv.notify_all();
+  return built;
+}
+
+StatusOr<std::shared_ptr<const mechanisms::OptTemplate>>
+MultiStepMechanism::BuildLevelTemplate(int level) const {
+  // The donor: the first internal node of depth level - 1 in child order,
+  // found depth-first.
+  std::vector<std::pair<spatial::NodeIndex, int>> stack = {
+      {spatial::HierarchicalPartition::kRoot, 1}};
+  std::optional<spatial::NodeIndex> donor;
+  while (!stack.empty() && !donor.has_value()) {
+    const auto [node, node_level] = stack.back();
+    stack.pop_back();
+    if (index_->IsLeaf(node)) continue;
+    if (node_level == level) {
+      donor = node;
+      continue;
+    }
+    const std::vector<spatial::ChildInfo> children = index_->Children(node);
+    for (auto it = children.rbegin(); it != children.rend(); ++it) {
+      stack.emplace_back(it->id, node_level + 1);
+    }
+  }
+  if (!donor.has_value()) {
+    return std::shared_ptr<const mechanisms::OptTemplate>();
+  }
+  std::vector<geo::Point> centers;
+  for (const spatial::ChildInfo& c : index_->Children(*donor)) {
+    centers.push_back(c.bounds.Center());
+  }
+  std::vector<double> uniform(centers.size(), 1.0);
+  const uint64_t build_start =
+      obs::ActiveTrace() != nullptr ? obs::NowTicks() : 0;
+  auto level_template = std::make_shared<mechanisms::OptTemplate>();
+  GEOPRIV_ASSIGN_OR_RETURN(
+      const mechanisms::OptimalMechanism mech,
+      mechanisms::OptimalMechanism::Create(
+          budget_.per_level[level - 1], std::move(centers),
+          std::move(uniform), options_.metric, options_.opt, nullptr,
+          level_template.get()));
+  RecordLp(mech.stats(), build_start, *donor, level, /*node_solve=*/false);
+  return std::shared_ptr<const mechanisms::OptTemplate>(
+      std::move(level_template));
 }
 
 StatusOr<NodeMechanismCache::MechanismPtr>
@@ -146,13 +226,13 @@ StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k) const {
 StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k,
                                                   ThreadPool* pool) const {
   if (k <= 0) return 0;
-  // Best-first walk by unconditional prior mass. Expanding only popped
-  // nodes guarantees every warmed node's ancestors are warmed first (a
+  // Best-first walk by unconditional prior mass. Expanding only claimed
+  // nodes guarantees every warmed node's ancestors are claimed first (a
   // node's mass never exceeds its parent's), matching what a query
-  // through that node will touch. With a pool, independent frontier nodes
-  // build concurrently: each drainer claims the current best candidate,
-  // builds it outside the lock (through the cache's singleflight path),
-  // and feeds the node's children back into the frontier.
+  // through that node will touch. Each drainer claims the current best
+  // candidate and pushes its children in the same lock hold, so claims
+  // follow the serial order whatever the thread count, then builds it
+  // outside the lock (through the cache's singleflight path).
   struct Candidate {
     double mass;
     spatial::NodeIndex node;
@@ -191,17 +271,17 @@ StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k,
       shared->frontier.pop();
       ++shared->claimed;
       ++shared->inflight;
-      lock.unlock();
-
-      const auto result = NodeMechanism(top.node, top.level);
-      std::vector<Candidate> kids;
-      if (result.ok() && top.level + 1 <= budget_.height()) {
+      if (top.level + 1 <= budget_.height()) {
         for (const spatial::ChildInfo& child : index_->Children(top.node)) {
           if (index_->IsLeaf(child.id)) continue;
-          kids.push_back(
+          shared->frontier.push(
               {prior_->MassIn(child.bounds), child.id, top.level + 1});
         }
       }
+      shared->cv.notify_all();
+      lock.unlock();
+
+      const auto result = NodeMechanism(top.node, top.level);
 
       lock.lock();
       --shared->inflight;
@@ -212,7 +292,6 @@ StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k,
         }
       } else {
         ++shared->warmed;
-        for (const Candidate& kid : kids) shared->frontier.push(kid);
       }
       shared->cv.notify_all();
     }

@@ -33,14 +33,27 @@
 // cache's generation counter moves: publish, eviction, or Clear().
 // Plan and legacy walks are bit-identical: same candidate scan order, same
 // RNG draw sequence, same solved matrices.
+//
+// Level templates: every node of one level below the root has congruent
+// children and the same budget eps_i, so the first rounds of their LPs
+// differ only in the right-hand side. Each such level gets one template,
+// the optimal first-round basis of the level's first node under a uniform
+// prior, built once on first need; every node solve of the level starts
+// from it with the dual simplex (see OptTemplate). A node's K is then a
+// function of its own inputs alone, whatever the thread count or the
+// order in which nodes are solved. The root level has one node and no
+// template; nodes whose children are not congruent to the template's (on
+// k-d and quadtree indexes) fail its signature check and start cold.
 
 #ifndef GEOPRIV_CORE_MSM_H_
 #define GEOPRIV_CORE_MSM_H_
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -66,6 +79,8 @@ struct MsmOptions {
 };
 
 // Snapshot of the mechanism's counters (see MultiStepMechanism::stats()).
+// lp_solves counts node solves; the LP clocks and lp_violations_found also
+// include the solves that build the level templates.
 struct MsmStats {
   int64_t lp_solves = 0;
   double lp_seconds = 0.0;
@@ -148,15 +163,14 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
   // safe to run concurrently with live traffic (e.g. from a background
   // warmer). Returns the number of nodes now resident (hits included).
   //
-  // With a pool, independent frontier nodes (siblings, cousins) build
-  // concurrently: helper threads are recruited non-blockingly from `pool`
-  // and the calling thread participates, so a busy or shut-down pool just
-  // lowers the effective parallelism. A node enters the frontier only
-  // when its parent's build completes, preserving ancestor-before-
-  // descendant order; with concurrent builds the k nodes picked are
-  // best-first among the candidates *discovered so far*, which can differ
-  // from the strict serial top-k when siblings race. pool == nullptr (or
-  // the single-argument overload) reproduces the serial walk exactly.
+  // With a pool, claimed nodes build concurrently: helper threads are
+  // recruited non-blockingly from `pool` and the calling thread
+  // participates, so a busy or shut-down pool just lowers the effective
+  // parallelism. A node's children enter the frontier when the node is
+  // claimed, under the same lock hold, so the claim sequence, and with it
+  // the set of nodes warmed, equals the serial walk's at any thread count;
+  // a child may build while its parent still solves. Any failed solve
+  // fails the prewarm.
   StatusOr<int> PrewarmTopNodes(int k) const;
   StatusOr<int> PrewarmTopNodes(int k, ThreadPool* pool) const;
 
@@ -185,6 +199,23 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
 
   // Shards of the node cache (contention bound under concurrency).
   static constexpr int kCacheShards = 16;
+
+  // Per-level templates, slot level - 1 (slot 0, the root's, stays
+  // empty). A build in flight is shared by everyone who needs the level
+  // meanwhile, as the node cache shares a node's; a failed build is
+  // dropped, so the next need retries. Heap-allocated for movability.
+  struct TemplateState {
+    struct Build {
+      bool done = false;
+      Status status;
+      std::shared_ptr<const mechanisms::OptTemplate> result;
+    };
+    explicit TemplateState(int levels) : ready(levels), inflight(levels) {}
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::shared_ptr<const mechanisms::OptTemplate>> ready;
+    std::vector<std::shared_ptr<Build>> inflight;
+  };
 
   // Flattened SoA image of the warm subtree. Plan node p's children live
   // in the flat child arrays at [child_begin[p], child_begin[p] +
@@ -233,11 +264,28 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
         cache_(std::make_unique<NodeMechanismCache>(
             kCacheShards, options_.cache_byte_budget)),
         stats_(std::make_unique<AtomicStats>()),
-        plan_state_(std::make_unique<PlanState>()) {}
+        plan_state_(std::make_unique<PlanState>()),
+        templates_(std::make_unique<TemplateState>(budget_.height())) {}
 
-  // Solves the LP for `node` (no cache involvement).
+  // Solves the LP for `node` (no cache involvement), from its level's
+  // template below the root.
   StatusOr<std::unique_ptr<mechanisms::OptimalMechanism>> BuildNodeMechanism(
       spatial::NodeIndex node, int level) const;
+
+  // The template of `level` (>= 2), built on first need; see
+  // TemplateState. nullptr when the level has no internal node.
+  StatusOr<std::shared_ptr<const mechanisms::OptTemplate>> LevelTemplate(
+      int level) const;
+  // Solves the first node of `level` in child order under a uniform prior
+  // and keeps its first-round basis.
+  StatusOr<std::shared_ptr<const mechanisms::OptTemplate>>
+  BuildLevelTemplate(int level) const;
+
+  // Adds one solve's LP clocks to the stats (and to lp_solves when it is a
+  // node's own solve, not a template's) and, under an active trace, lays
+  // its pricing / refactorize / pivoting phases end to end from `start`.
+  void RecordLp(const mechanisms::OptSolveStats& os, uint64_t start,
+                spatial::NodeIndex node, int level, bool node_solve) const;
 
   // The current plan, rebuilt first (by this caller, if it wins the
   // single-rebuilder election) when the cache generation moved. nullptr
@@ -262,6 +310,7 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
   std::unique_ptr<NodeMechanismCache> cache_;
   std::unique_ptr<AtomicStats> stats_;
   std::unique_ptr<PlanState> plan_state_;
+  std::unique_ptr<TemplateState> templates_;
 };
 
 }  // namespace geopriv::core

@@ -25,6 +25,12 @@ constexpr double kSingularTol = 1e-12;
 constexpr double kDropTol = 1e-14;
 // Consecutive degenerate pivots before switching to Bland's rule.
 constexpr int kDegenerateLimit = 200;
+// The dual phase drives basic values into their bounds to within this.
+constexpr double kPrimalTol = 1e-9;
+// Dual pivots per row before the dual phase gives up on a warm basis and
+// the solve is retried cold. A cold solve of the OPT dual takes about two
+// pivots per row.
+constexpr int kDualPivotsPerRow = 5;
 // Eta updates between refactorizations. A refactorization costs about as
 // much as a few pivots (the basis is nearly triangular), while every eta
 // lengthens each FTRAN and BTRAN, so short runs are cheapest. The cold
@@ -64,11 +70,15 @@ class Core {
 
  private:
   enum class StepResult { kOptimal, kUnbounded, kContinue, kSingular };
+  // How a warm basis can start: not at all, in the primal phase (its
+  // values are within bounds) or in the dual phase (they are not, but no
+  // column prices in).
+  enum class WarmStart { kCold, kPrimal, kDual };
 
   void BuildColumns();
   void BuildRowCopy();
   void ColdStart();
-  bool TryWarmStart(const Basis& warm);
+  WarmStart TryWarmStart(const Basis& warm);
 
   // Factors the current basis and recomputes the basic values. Returns
   // false if the basis is numerically singular.
@@ -76,8 +86,10 @@ class Core {
   bool Factor();
   int Reach(int col);
   void ComputeBasicValues();
-  // Recomputes every reduced cost from fresh duals, then prices.
+  // Recomputes every reduced cost from fresh duals.
   void ComputeReducedCosts(const std::vector<double>& cost);
+  // The phase-2 costs: the model's objective, as a minimization.
+  std::vector<double> PhaseTwoCost() const;
 
   // Solves B x = v in place: v enters indexed by row and leaves indexed
   // by basis position.
@@ -86,13 +98,33 @@ class Core {
   // leaves indexed by row.
   void Btran(std::vector<double>& v);
   void AppendEta(int r, const std::vector<double>& w);
+  // w_ = B^{-1} a_q, by basis position.
+  void ComputeColumn(int q);
+  // alpha_j += (B^{-T} e_r)' a_j for every column j: row r of B^{-1} A.
+  void ComputePivotRow(int r);
+  // Both solves produced the pivot element: w_r by FTRAN and alpha_q by
+  // BTRAN. A mismatch means the factors have drifted.
+  void CheckPivot(int q, double pivot);
+  // Moves x_q by t and the basic variables by -t w_.
+  void MoveAlongColumn(int q, double t);
 
   // Runs simplex pivots on `cost` until optimal, unbounded or a limit.
   SolveStatus Optimize(const std::vector<double>& cost);
   StepResult Iterate(bool bland, double* objective_delta);
+  // Runs dual simplex pivots on `cost` from a dual feasible basis until
+  // the basic values are within their bounds. kNumericalError covers
+  // every way the warm basis can fail (the pivot cap, a singular pivot,
+  // no entering column), and the caller retries cold.
+  SolveStatus DualOptimize(const std::vector<double>& cost);
+  StepResult DualIterate();
+  // Harris two-pass ratio test on the pivot row held in alpha_, taken in
+  // the direction `sign` (+1 when the leaving variable falls to its upper
+  // bound, -1 to its lower): the entering column, or -1 if none.
+  int DualRatioTest(double sign);
   // Direction the variable j would move in to improve the objective (+1
   // up, -1 down), or 0 if it is not eligible to enter.
   double Direction(int j) const;
+  // Sets moves_, up_ and down_ for variable j from its status.
   void SetMoves(int j);
   // Applies the pivot row held in alpha_ to the reduced costs (d_j -=
   // theta alpha_j) and the Devex weights (raised to alpha_j^2
@@ -131,6 +163,7 @@ class Core {
   std::vector<VarStatus> status_;   // per variable
   std::vector<double> x_;           // per variable
   int iterations_ = 0;
+  int dual_iterations_ = 0;
   int refactorizations_ = 0;
   double refactor_seconds_ = 0.0;
   Stopwatch stopwatch_;
@@ -173,6 +206,10 @@ class Core {
   // bound, or free), bit 1 if it may decrease (at its upper bound, or
   // free); 0 for basic and fixed variables.
   std::vector<uint8_t> moves_;
+  // The two bits of moves_ as 1.0 or 0.0, for the dual ratio test: its
+  // passes vectorize over doubles, not over the byte array.
+  std::vector<double> up_;
+  std::vector<double> down_;
   // The entering variable under Devex (largest d_j^2 / weight_j, ties to
   // the lowest index) as of the last UpdateAndPrice; -1 when no variable
   // is eligible.
@@ -186,6 +223,9 @@ class Core {
   // iteration count several fold on degenerate instances versus Dantzig
   // pricing.
   std::vector<double> devex_;
+  // Dual Devex reference weights, one per basis position: the dual phase
+  // picks the leaving row maximizing infeasibility^2 / weight.
+  std::vector<double> dual_devex_;
 
   // Per-pivot scratch: the entering column w = B^{-1} a_q, the pivot row
   // rho = B^{-T} e_r of the inverse, and alpha_j = rho' a_j per column
@@ -311,22 +351,22 @@ void Core::ColdStart() {
   Refactorize();
 }
 
-bool Core::TryWarmStart(const Basis& warm) {
+Core::WarmStart Core::TryWarmStart(const Basis& warm) {
   // The basis may predate structural columns appended to the model since:
   // its indices run over its own old_n structurals, then the m slacks.
   const int old_n = static_cast<int>(warm.status.size()) - m_;
   if (static_cast<int>(warm.basic.size()) != m_ || old_n < 0 ||
       old_n > n_structural_) {
-    return false;
+    return WarmStart::kCold;
   }
   const int shift = n_structural_ - old_n;
   std::vector<bool> used(n_slack_end_, false);
   basis_.resize(m_);
   for (int i = 0; i < m_; ++i) {
     int j = warm.basic[i];
-    if (j < 0 || j >= old_n + m_) return false;
+    if (j < 0 || j >= old_n + m_) return WarmStart::kCold;
     if (j >= old_n) j += shift;
-    if (used[j]) return false;
+    if (used[j]) return WarmStart::kCold;
     used[j] = true;
     basis_[i] = j;
   }
@@ -358,14 +398,32 @@ bool Core::TryWarmStart(const Basis& warm) {
     status_[j] = s;
   }
   for (int i = 0; i < m_; ++i) status_[basis_[i]] = VarStatus::kBasic;
-  if (!Refactorize()) return false;
-  // The warm basis must be (near-)feasible; otherwise fall back to phase 1
-  // from a cold start.
-  for (int i = 0; i < m_; ++i) {
-    const int j = basis_[i];
-    if (x_[j] < lb_[j] - 1e-7 || x_[j] > ub_[j] + 1e-7) return false;
+  if (!Refactorize()) return WarmStart::kCold;
+  const auto primal_feasible = [&] {
+    for (int i = 0; i < m_; ++i) {
+      const int j = basis_[i];
+      if (x_[j] < lb_[j] - 1e-7 || x_[j] > ub_[j] + 1e-7) return false;
+    }
+    return true;
+  };
+  if (primal_feasible()) return WarmStart::kPrimal;
+  // Values out of bounds (the right-hand side moved): the dual phase can
+  // start if no column prices in under the phase-2 costs. A boxed column
+  // that does is moved to its other bound, where it does not.
+  ComputeReducedCosts(PhaseTwoCost());
+  bool flipped = false;
+  for (int j = 0; j < NumVars(); ++j) {
+    if (Direction(j) == 0.0) continue;
+    if (!std::isfinite(lb_[j]) || !std::isfinite(ub_[j])) {
+      return WarmStart::kCold;  // neither primal nor dual feasible
+    }
+    const bool to_upper = status_[j] == VarStatus::kAtLower;
+    status_[j] = to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
+    x_[j] = to_upper ? ub_[j] : lb_[j];
+    flipped = true;
   }
-  return true;
+  if (flipped) ComputeBasicValues();
+  return WarmStart::kDual;
 }
 
 bool Core::Refactorize() {
@@ -606,6 +664,8 @@ void Core::ComputeReducedCosts(const std::vector<double>& cost) {
   Btran(pi);
   d_.resize(NumVars());
   moves_.resize(NumVars());
+  up_.resize(NumVars());
+  down_.resize(NumVars());
   for (int j = 0; j < NumVars(); ++j) {
     SetMoves(j);
     double dj = 0.0;
@@ -617,7 +677,15 @@ void Core::ComputeReducedCosts(const std::vector<double>& cost) {
     }
     d_[j] = dj;
   }
-  UpdateAndPrice(0.0, 0.0);
+}
+
+std::vector<double> Core::PhaseTwoCost() const {
+  const double sgn = model_.sense() == ObjectiveSense::kMinimize ? 1.0 : -1.0;
+  std::vector<double> cost(NumVars(), 0.0);
+  for (int j = 0; j < n_structural_; ++j) {
+    cost[j] = sgn * model_.objective_coefficient(j);
+  }
+  return cost;
 }
 
 double Core::Direction(int j) const {
@@ -633,6 +701,8 @@ void Core::SetMoves(int j) {
   } else {
     moves_[j] = s == VarStatus::kAtLower ? 1 : s == VarStatus::kAtUpper ? 2 : 3;
   }
+  up_[j] = (moves_[j] & 1) ? 1.0 : 0.0;
+  down_[j] = (moves_[j] & 2) ? 1.0 : 0.0;
 }
 
 void Core::UpdateAndPrice(double theta, double devex_scale) {
@@ -665,6 +735,38 @@ void Core::UpdateAndPrice(double theta, double devex_scale) {
                                         score);
 }
 
+void Core::ComputeColumn(int q) {
+  w_.assign(m_, 0.0);
+  for (int p = col_start_[q]; p < col_start_[q + 1]; ++p) {
+    w_[col_row_[p]] += col_value_[p];
+  }
+  Ftran(w_);
+}
+
+void Core::ComputePivotRow(int r) {
+  rho_.assign(m_, 0.0);
+  rho_[r] = 1.0;
+  Btran(rho_);
+  for (int i = 0; i < m_; ++i) {
+    const double ri = rho_[i];
+    if (ri == 0.0) continue;
+    for (int p = row_start_[i]; p < row_start_[i + 1]; ++p) {
+      alpha_[row_col_[p]] += ri * row_value_[p];
+    }
+  }
+}
+
+void Core::CheckPivot(int q, double pivot) {
+  inaccurate_ = std::abs(alpha_[q] - pivot) > 1e-9 * (1.0 + std::abs(pivot));
+}
+
+void Core::MoveAlongColumn(int q, double t) {
+  for (int i = 0; i < m_; ++i) {
+    if (w_[i] != 0.0) x_[basis_[i]] -= t * w_[i];
+  }
+  x_[q] += t;
+}
+
 double Core::Objective(const std::vector<double>& cost) const {
   double obj = 0.0;
   for (int j = 0; j < NumVars(); ++j) obj += cost[j] * x_[j];
@@ -683,12 +785,7 @@ Core::StepResult Core::Iterate(bool bland, double* objective_delta) {
   if (enter < 0) return StepResult::kOptimal;
   const double enter_dir = Direction(enter);
 
-  // --- FTRAN: w = B^{-1} A_enter. ---
-  w_.assign(m_, 0.0);
-  for (int p = col_start_[enter]; p < col_start_[enter + 1]; ++p) {
-    w_[col_row_[p]] += col_value_[p];
-  }
-  Ftran(w_);
+  ComputeColumn(enter);
 
   // --- Ratio test. ---
   // Entering moves by t >= 0 in direction enter_dir; basic i changes by
@@ -734,10 +831,7 @@ Core::StepResult Core::Iterate(bool bland, double* objective_delta) {
   if (std::isfinite(own_range) && own_range <= t_best) {
     // Flip: entering moves to its opposite bound; no basis change.
     const double t = own_range;
-    for (int i = 0; i < m_; ++i) {
-      if (w_[i] != 0.0) x_[basis_[i]] -= enter_dir * t * w_[i];
-    }
-    x_[enter] += enter_dir * t;
+    MoveAlongColumn(enter, enter_dir * t);
     status_[enter] = status_[enter] == VarStatus::kAtLower
                          ? VarStatus::kAtUpper
                          : VarStatus::kAtLower;
@@ -750,29 +844,11 @@ Core::StepResult Core::Iterate(bool bland, double* objective_delta) {
   const double pivot = w_[leave_row];
   if (std::abs(pivot) < kPivotTol) return StepResult::kSingular;
 
-  // --- Pivot row: rho = B^{-T} e_r, alpha_j = rho' A_j (pre-pivot). ---
-  rho_.assign(m_, 0.0);
-  rho_[leave_row] = 1.0;
-  Btran(rho_);
-  for (int i = 0; i < m_; ++i) {
-    const double ri = rho_[i];
-    if (ri == 0.0) continue;
-    for (int p = row_start_[i]; p < row_start_[i + 1]; ++p) {
-      alpha_[row_col_[p]] += ri * row_value_[p];
-    }
-  }
-
-  // Both solves produced the pivot element: w_r by FTRAN and alpha_q by
-  // BTRAN. A mismatch means the factors have drifted.
-  inaccurate_ =
-      std::abs(alpha_[enter] - pivot) > 1e-9 * (1.0 + std::abs(pivot));
+  ComputePivotRow(leave_row);
+  CheckPivot(enter, pivot);
 
   // --- Basis change and primal values. ---
-  const double t = t_best;
-  for (int i = 0; i < m_; ++i) {
-    if (w_[i] != 0.0) x_[basis_[i]] -= enter_dir * t * w_[i];
-  }
-  x_[enter] += enter_dir * t;
+  MoveAlongColumn(enter, enter_dir * t_best);
   const int leaving = basis_[leave_row];
   x_[leaving] = leave_bound;
   status_[leaving] = leave_status;
@@ -780,7 +856,7 @@ Core::StepResult Core::Iterate(bool bland, double* objective_delta) {
   status_[enter] = VarStatus::kBasic;
   SetMoves(leaving);
   SetMoves(enter);
-  *objective_delta = d_enter * enter_dir * t;
+  *objective_delta = d_enter * enter_dir * t_best;
 
   // --- Reduced costs and Devex weights along the pivot row. ---
   // d_j -= theta alpha_j zeroes d_enter and takes the leaving variable
@@ -805,6 +881,7 @@ Core::StepResult Core::Iterate(bool bland, double* objective_delta) {
 
 SolveStatus Core::Optimize(const std::vector<double>& cost) {
   ComputeReducedCosts(cost);
+  UpdateAndPrice(0.0, 0.0);
   int degenerate = 0;
   bool bland = false;
   while (true) {
@@ -819,6 +896,7 @@ SolveStatus Core::Optimize(const std::vector<double>& cost) {
         static_cast<int>(eta_row_.size()) >= refactor_pivots_) {
       if (!Refactorize()) return SolveStatus::kNumericalError;
       ComputeReducedCosts(cost);
+      UpdateAndPrice(0.0, 0.0);
     }
     double objective_delta = 0.0;
     const StepResult sr = Iterate(bland, &objective_delta);
@@ -829,6 +907,7 @@ SolveStatus Core::Optimize(const std::vector<double>& cost) {
         // from a new factorization, which also cleans the final values.
         if (!Refactorize()) return SolveStatus::kNumericalError;
         ComputeReducedCosts(cost);
+        UpdateAndPrice(0.0, 0.0);
         if (devex_enter_ < 0) return SolveStatus::kOptimal;
         break;
       case StepResult::kUnbounded:
@@ -842,6 +921,158 @@ SolveStatus Core::Optimize(const std::vector<double>& cost) {
         break;
     }
   }
+}
+
+SolveStatus Core::DualOptimize(const std::vector<double>& cost) {
+  ComputeReducedCosts(cost);
+  dual_devex_.assign(m_, 1.0);
+  const int cap = iterations_ + kDualPivotsPerRow * m_;
+  while (true) {
+    if (iterations_ >= kMaxIterations) {
+      return SolveStatus::kIterationLimit;
+    }
+    if ((iterations_ & 63) == 0 &&
+        stopwatch_.ElapsedSeconds() > options_.time_limit_seconds) {
+      return SolveStatus::kTimeLimit;
+    }
+    if (iterations_ >= cap) return SolveStatus::kNumericalError;
+    if (inaccurate_ ||
+        static_cast<int>(eta_row_.size()) >= refactor_pivots_) {
+      if (!Refactorize()) return SolveStatus::kNumericalError;
+      ComputeReducedCosts(cost);
+    }
+    switch (DualIterate()) {
+      case StepResult::kOptimal:
+        // The updated values are within bounds. Confirm it on fresh ones.
+        if (eta_row_.empty()) return SolveStatus::kOptimal;
+        if (!Refactorize()) return SolveStatus::kNumericalError;
+        ComputeReducedCosts(cost);
+        break;
+      case StepResult::kUnbounded:
+      case StepResult::kSingular:
+        return SolveStatus::kNumericalError;
+      case StepResult::kContinue:
+        ++iterations_;
+        ++dual_iterations_;
+        break;
+    }
+  }
+}
+
+Core::StepResult Core::DualIterate() {
+  // --- Leaving row: the largest infeasibility^2 over its dual Devex
+  // weight, ties to the lowest row. ---
+  int leave_row = -1;
+  double best = 0.0;
+  for (int i = 0; i < m_; ++i) {
+    const int j = basis_[i];
+    const double infeasibility = std::max(lb_[j] - x_[j], x_[j] - ub_[j]);
+    if (infeasibility <= kPrimalTol) continue;
+    const double score = infeasibility * infeasibility / dual_devex_[i];
+    if (score > best) {
+      best = score;
+      leave_row = i;
+    }
+  }
+  if (leave_row < 0) return StepResult::kOptimal;
+  const int leaving = basis_[leave_row];
+  const bool to_lower = x_[leaving] < lb_[leaving];
+  const double leave_bound = to_lower ? lb_[leaving] : ub_[leaving];
+
+  ComputePivotRow(leave_row);
+  const double sign = to_lower ? -1.0 : 1.0;
+  const int enter = DualRatioTest(sign);
+  // No column can enter: the dual is unbounded, so the LP is infeasible.
+  // The cold retry's phase 1 reports that with its own tolerances.
+  if (enter < 0) return StepResult::kUnbounded;
+
+  ComputeColumn(enter);
+  const double pivot = w_[leave_row];
+  if (std::abs(pivot) < kPivotTol) return StepResult::kSingular;
+  CheckPivot(enter, pivot);
+
+  // --- Primal values: the leaving variable lands on its bound. ---
+  MoveAlongColumn(enter, (x_[leaving] - leave_bound) / pivot);
+  x_[leaving] = leave_bound;
+
+  // --- Reduced costs: d_j -= theta_d alpha_j zeroes d_enter, and the
+  // leaving variable (alpha 1) gets -theta_d, of the sign its bound needs.
+  // A Harris step may pick a column whose reduced cost is a hair on the
+  // wrong side of zero; the step is then 0, not backwards. ---
+  const double step =
+      std::max(sign * d_[enter] / alpha_[enter], 0.0);  // >= 0 by sign
+  const double theta_d = sign * step;
+  double* d = d_.data();
+  double* alpha = alpha_.data();
+  for (int j = 0; j < NumVars(); ++j) {
+    d[j] -= theta_d * alpha[j];
+    alpha[j] = 0.0;
+  }
+  d_[enter] = 0.0;
+  d_[leaving] = -theta_d;
+
+  // --- Dual Devex weights (Forrest-Goldfarb, by rows). ---
+  const double weight_r = dual_devex_[leave_row];
+  for (int i = 0; i < m_; ++i) {
+    const double ratio = w_[i] / pivot;
+    dual_devex_[i] = std::max(dual_devex_[i], ratio * ratio * weight_r);
+  }
+  dual_devex_[leave_row] = std::max(weight_r / (pivot * pivot), 1.0);
+  if (dual_devex_[leave_row] > 1e12) dual_devex_.assign(m_, 1.0);
+
+  // --- Basis change. ---
+  basis_[leave_row] = enter;
+  status_[enter] = VarStatus::kBasic;
+  status_[leaving] = to_lower ? VarStatus::kAtLower : VarStatus::kAtUpper;
+  SetMoves(leaving);
+  SetMoves(enter);
+  AppendEta(leave_row, w_);
+  return StepResult::kContinue;
+}
+
+int Core::DualRatioTest(double sign) {
+  // Column j may enter if moving it off its bound in its allowed direction
+  // pushes the leaving variable toward the bound it violates: a_j = sign *
+  // alpha_j positive for a column that may increase, negative for one that
+  // may decrease. Its reduced cost then reaches zero after a dual step of
+  // |d_j| / |a_j|. Both passes are branch-free over doubles.
+  const int n = NumVars();
+  const double* d = d_.data();
+  const double* alpha = alpha_.data();
+  const double* up = up_.data();
+  const double* down = down_.data();
+  uint64_t* key = score_.data();
+  // Pass 1: the largest step that keeps every reduced cost within the
+  // tolerance of its sign. Ratios are non-negative, so they order like
+  // their bit patterns.
+  for (int j = 0; j < n; ++j) {
+    const double a = sign * alpha[j];
+    const double ok =
+        a > kPivotTol ? up[j] : (a < -kPivotTol ? down[j] : 0.0);
+    const double slack = std::max((a > 0.0 ? d[j] : -d[j]) + kOptimalityTol,
+                                  0.0);
+    key[j] = std::bit_cast<uint64_t>(ok != 0.0 ? slack / std::abs(a)
+                                               : kInfinity);
+  }
+  uint64_t min_key = std::bit_cast<uint64_t>(kInfinity);
+  for (int j = 0; j < n; ++j) min_key = std::min(min_key, key[j]);
+  if (min_key == std::bit_cast<uint64_t>(kInfinity)) return -1;
+  const double bound = std::bit_cast<double>(min_key);
+  // Pass 2: among the columns whose own step is within that bound, the
+  // largest |a_j|, for the most stable pivot; ties to the lowest index.
+  for (int j = 0; j < n; ++j) {
+    const double a = sign * alpha[j];
+    const double ok =
+        a > kPivotTol ? up[j] : (a < -kPivotTol ? down[j] : 0.0);
+    const double mag = std::abs(a);
+    const double ratio_num = a > 0.0 ? d[j] : -d[j];
+    key[j] = std::bit_cast<uint64_t>(
+        (ok != 0.0 && ratio_num <= bound * mag) ? mag : 0.0);
+  }
+  uint64_t max_key = 0;
+  for (int j = 0; j < n; ++j) max_key = std::max(max_key, key[j]);
+  if (max_key == 0) return -1;
+  return static_cast<int>(std::find(key, key + n, max_key) - key);
 }
 
 LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
@@ -881,9 +1112,10 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
     return result;
   }
 
-  const bool warm_ok =
-      warm != nullptr && !warm->empty() && TryWarmStart(*warm);
-  if (!warm_ok) ColdStart();
+  const WarmStart start = warm != nullptr && !warm->empty()
+                              ? TryWarmStart(*warm)
+                              : WarmStart::kCold;
+  if (start == WarmStart::kCold) ColdStart();
   BuildRowCopy();
   alpha_.assign(NumVars(), 0.0);
   score_.resize(NumVars());
@@ -892,6 +1124,7 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
   const auto finish = [&](SolveStatus status) -> LpSolution& {
     result.status = status;
     result.iterations = iterations_;
+    result.dual_iterations = dual_iterations_;
     result.solve_seconds = stopwatch_.ElapsedSeconds();
     result.refactorizations = refactorizations_;
     result.refactor_seconds = refactor_seconds_;
@@ -921,11 +1154,13 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
     }
   }
 
-  // Phase 2: true objective (internally always minimize).
-  const double sgn = model_.sense() == ObjectiveSense::kMinimize ? 1.0 : -1.0;
-  std::vector<double> cost2(NumVars(), 0.0);
-  for (int j = 0; j < n; ++j) {
-    cost2[j] = sgn * model_.objective_coefficient(j);
+  // Phase 2: true objective (internally always minimize). A dual feasible
+  // warm basis first runs the dual phase to a feasible one; the primal
+  // phase then confirms optimality on fresh reduced costs.
+  const std::vector<double> cost2 = PhaseTwoCost();
+  if (start == WarmStart::kDual) {
+    const SolveStatus status = DualOptimize(cost2);
+    if (status != SolveStatus::kOptimal) return finish(status);
   }
   finish(Optimize(cost2));
   result.x.assign(x_.begin(), x_.begin() + n);
@@ -956,15 +1191,26 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
 LpSolution RevisedSimplex::Solve(const Model& model,
                                  const SolverOptions& options,
                                  const Basis* warm, Basis* out_basis) {
+  LpSolution first;
   {
     Core core(model, options, kRefactorPivots);
-    LpSolution result = core.Run(warm, out_basis);
-    if (result.status != SolveStatus::kNumericalError) return result;
+    first = core.Run(warm, out_basis);
+    if (first.status != SolveStatus::kNumericalError) return first;
   }
-  // Numerical trouble (e.g. a drifted basis turned singular): retry once
-  // from a cold start with more frequent refactorization.
-  Core core(model, options, kRetryRefactorPivots);
-  return core.Run(nullptr, out_basis);
+  // Numerical trouble (e.g. a drifted basis turned singular) or a warm
+  // basis the dual phase could not take to a feasible one: retry once from
+  // a cold start with more frequent refactorization. The result counts the
+  // work of both attempts.
+  SolverOptions retry_options = options;
+  retry_options.time_limit_seconds -= first.solve_seconds;
+  Core core(model, retry_options, kRetryRefactorPivots);
+  LpSolution result = core.Run(nullptr, out_basis);
+  result.iterations += first.iterations;
+  result.dual_iterations += first.dual_iterations;
+  result.solve_seconds += first.solve_seconds;
+  result.refactorizations += first.refactorizations;
+  result.refactor_seconds += first.refactor_seconds;
+  return result;
 }
 
 }  // namespace geopriv::lp

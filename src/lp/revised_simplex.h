@@ -1,4 +1,5 @@
-// Revised primal simplex with bounded variables.
+// Revised simplex with bounded variables: a primal phase, and a dual
+// phase for warm bases.
 //
 // Solves Model (min/max c'x, sparse rows, box bounds) via the classical
 // two-phase method: phase 1 minimizes the sum of artificial variables to
@@ -6,6 +7,19 @@
 // Devex (approximate steepest edge) over every column, in passes that
 // vectorize, falling back to Bland's rule after a run of degenerate
 // pivots.
+//
+// The dual phase starts from a warm basis that is dual feasible (no
+// column prices in under the phase-2 costs) but not primal feasible,
+// which is what an optimal basis becomes when only the right-hand side
+// changes. Each dual pivot takes as leaving row the largest
+// infeasibility^2 over its dual Devex weight, computes that row of
+// B^{-1} A as the primal phase computes its pivot row, and picks the
+// entering column by a Harris two-pass ratio test, written as branch-free
+// passes over doubles so that they vectorize. Once every basic value is
+// within its bounds, the primal phase confirms optimality on fresh reduced
+// costs. A warm basis that is neither primal nor dual feasible starts
+// cold, and a dual phase that runs past a few pivots per row, or finds no
+// entering column, hands the solve to the cold retry.
 //
 // The basis is never inverted. It is held as a sparse LU factorization
 // (left-looking, partial pivoting, columns ordered by nonzero count) and
@@ -20,7 +34,9 @@
 // Warm starting: Solve() can resume from a Basis captured by a previous
 // call. This matters for column generation (the optimal GeoInd mechanism):
 // after appending variables to the model, the old basis is still feasible
-// and the solver continues without a phase 1.
+// and the solver continues without a phase 1. A basis captured on a model
+// with the same matrix and costs but another right-hand side (an MSM
+// level template) resumes in the dual phase.
 
 #ifndef GEOPRIV_LP_REVISED_SIMPLEX_H_
 #define GEOPRIV_LP_REVISED_SIMPLEX_H_
@@ -56,8 +72,10 @@ struct Basis {
 class RevisedSimplex {
  public:
   // Solves `model`. If `warm` is non-null and non-empty, tries to start from
-  // it (falls back to a cold start if the basis is unusable). If `out_basis`
-  // is non-null, stores the final basis for later warm starts.
+  // it: in the primal phase when its values are feasible, in the dual phase
+  // when it is dual feasible, and cold otherwise or when it does not fit
+  // the model. If `out_basis` is non-null, stores the final basis for later
+  // warm starts.
   static LpSolution Solve(const Model& model, const SolverOptions& options,
                           const Basis* warm = nullptr,
                           Basis* out_basis = nullptr);

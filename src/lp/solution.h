@@ -43,6 +43,8 @@ struct LpSolution {
   // interior point unless converged).
   std::vector<double> duals;
   int iterations = 0;
+  // Of `iterations`, the pivots of the revised simplex's dual phase.
+  int dual_iterations = 0;
   double solve_seconds = 0.0;
   // Basis refactorizations performed and their share of solve_seconds
   // (revised simplex only; interior point leaves them zero). Exposed so

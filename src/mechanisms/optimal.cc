@@ -32,6 +32,11 @@ constexpr int kMaxRounds = 1000;
 // warm-started generation round of a few dozen pivots. DESIGN.md §6 has
 // the measured trade-off.
 constexpr int kSeedNearestNeighbors = 4;
+// Seeding ranks neighbors by their distance rounded to this grid, in the
+// coordinates' unit (km). Translated copies of one candidate set compute
+// their distances from centers that round differently in the last bits;
+// on the grid those distances are equal, and ties go to the lower index.
+constexpr double kSeedDistanceGrid = 1e-6;
 
 Status MapSolverFailure(lp::SolveStatus status) {
   switch (status) {
@@ -60,7 +65,8 @@ std::pair<int, int> ChunkRange(int items, int chunks, int c) {
 
 StatusOr<OptimalMechanism> OptimalMechanism::Create(
     double eps, std::vector<geo::Point> locations, std::vector<double> prior,
-    geo::UtilityMetric metric, const OptimalMechanismOptions& options) {
+    geo::UtilityMetric metric, const OptimalMechanismOptions& options,
+    const OptTemplate* start, OptTemplate* first_round) {
   if (!(eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive");
   }
@@ -95,7 +101,7 @@ StatusOr<OptimalMechanism> OptimalMechanism::Create(
   Status solve_status;
   switch (options.algorithm) {
     case OptAlgorithm::kColumnGeneration:
-      solve_status = mech.SolveColumnGeneration(options);
+      solve_status = mech.SolveColumnGeneration(options, start, first_round);
       break;
     case OptAlgorithm::kFullPrimalSimplex:
     case OptAlgorithm::kFullInteriorPoint:
@@ -185,8 +191,29 @@ void OptimalMechanism::BuildRowSamplers(
   });
 }
 
+std::vector<int> OptimalMechanism::SeedPairs(
+    std::span<const geo::Point> locations) {
+  const int n = static_cast<int>(locations.size());
+  const int k = std::min(kSeedNearestNeighbors, n - 1);
+  std::vector<int> seeds;
+  seeds.reserve(static_cast<size_t>(n) * k);
+  std::vector<std::pair<int64_t, int>> order;  // (rounded distance, index)
+  for (int x = 0; x < n; ++x) {
+    order.clear();
+    for (int xp = 0; xp < n; ++xp) {
+      if (xp == x) continue;
+      const double d = geo::Euclidean(locations[x], locations[xp]);
+      order.emplace_back(std::llround(d / kSeedDistanceGrid), xp);
+    }
+    std::partial_sort(order.begin(), order.begin() + k, order.end());
+    for (int i = 0; i < k; ++i) seeds.push_back(x * n + order[i].second);
+  }
+  return seeds;
+}
+
 Status OptimalMechanism::SolveColumnGeneration(
-    const OptimalMechanismOptions& options) {
+    const OptimalMechanismOptions& options, const OptTemplate* start,
+    OptTemplate* first_round) {
   Stopwatch stopwatch;
   const int n = num_locations();
   const size_t nn = static_cast<size_t>(n) * n;
@@ -239,30 +266,17 @@ Status OptimalMechanism::SolveColumnGeneration(
   // the active set at every eps, so starting with them collapses most of
   // the generation rounds into the first solve. Exactness is unaffected:
   // generation still runs to a clean pricing pass.
-  for (int x = 0; x < n; ++x) {
-    // Indices of the k nearest other locations (selection by distance).
-    std::vector<int> order;
-    order.reserve(n - 1);
-    for (int xp = 0; xp < n; ++xp) {
-      if (xp != x) order.push_back(xp);
-    }
-    const int k =
-        std::min<int>(kSeedNearestNeighbors, static_cast<int>(order.size()));
-    std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                      [&](int a, int b) {
-                        return expd[static_cast<size_t>(x) * n + a] <
-                               expd[static_cast<size_t>(x) * n + b];
-                      });
-    for (int i = 0; i < k; ++i) {
-      const int xp = order[i];
-      const double bound = expd[static_cast<size_t>(x) * n + xp];
-      for (int z = 0; z < n; ++z) {
-        const int w = dual.AddVariable(-lp::kInfinity, 0.0, 0.0);
-        dual.AddCoefficient(row_of(x, z), w, 1.0 / bound);
-        dual.AddCoefficient(row_of(xp, z), w, -1.0);
-        generated.insert((static_cast<int64_t>(x) * n + xp) * n + z);
-        ++stats_.generated_columns;
-      }
+  const std::vector<int> seeds = SeedPairs(locations_);
+  for (const int pair : seeds) {
+    const int x = pair / n;
+    const int xp = pair % n;
+    const double bound = expd[static_cast<size_t>(x) * n + xp];
+    for (int z = 0; z < n; ++z) {
+      const int w = dual.AddVariable(-lp::kInfinity, 0.0, 0.0);
+      dual.AddCoefficient(row_of(x, z), w, 1.0 / bound);
+      dual.AddCoefficient(row_of(xp, z), w, -1.0);
+      generated.insert((static_cast<int64_t>(x) * n + xp) * n + z);
+      ++stats_.generated_columns;
     }
   }
   const int per_round = options.columns_per_round > 0
@@ -273,7 +287,13 @@ Status OptimalMechanism::SolveColumnGeneration(
     double amount;
     int x, xp, z;
   };
+  // The first round starts from the template when it was solved on this
+  // same restricted dual; later rounds warm-start from the round before.
   lp::Basis basis;
+  if (start != nullptr && start->n_ == n && start->eps_ == eps_ &&
+      start->seeds_ == seeds) {
+    basis = start->basis_;
+  }
   lp::LpSolution sol;
   lp::SolverOptions solver_options = options.solver;
   const double time_limit = options.solver.time_limit_seconds;
@@ -289,7 +309,14 @@ Status OptimalMechanism::SolveColumnGeneration(
     sol = lp::RevisedSimplex::Solve(dual, solver_options,
                                     basis.empty() ? nullptr : &basis, &basis);
     if (!sol.optimal()) return MapSolverFailure(sol.status);
+    if (round == 0 && first_round != nullptr) {
+      first_round->n_ = n;
+      first_round->eps_ = eps_;
+      first_round->seeds_ = seeds;
+      first_round->basis_ = basis;
+    }
     stats_.simplex_iterations += sol.iterations;
+    stats_.dual_iterations += sol.dual_iterations;
     stats_.simplex_seconds += sol.solve_seconds;
     stats_.refactorizations += sol.refactorizations;
     stats_.refactor_seconds += sol.refactor_seconds;

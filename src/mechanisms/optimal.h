@@ -26,6 +26,7 @@
 
 #include "base/status.h"
 #include "geo/distance.h"
+#include "lp/revised_simplex.h"
 #include "lp/solution.h"
 #include "mechanisms/mechanism.h"
 #include "rng/alias_sampler.h"
@@ -70,6 +71,9 @@ struct OptSolveStats {
   int rounds = 0;            // column-generation rounds (1 for full solves)
   int generated_columns = 0; // GeoInd constraints activated
   int simplex_iterations = 0;
+  // Of simplex_iterations, the dual-phase pivots that took a template's
+  // basis to the first round's optimum (0 for a cold solve).
+  int dual_iterations = 0;
   double solve_seconds = 0.0;
   double objective = 0.0;    // expected utility loss under the prior
   // Wall-clock split of solve_seconds between the two phases of column
@@ -109,6 +113,24 @@ struct SolvedMechanismTables {
   std::span<const double> alias_normalized;
 };
 
+// A starting basis for column generation's first round: the optimal
+// first-round basis of one solve, with the signature of the restricted
+// dual it solved (n, eps and the seeded columns in order). Two instances
+// with the same signature pose first rounds with the same matrix and
+// costs; their right-hand sides c_xz = Pi_x d_Q(x, z) differ, but reduced
+// costs do not depend on them, so the basis is dual feasible for both and
+// the solver's dual phase takes it to the other instance's optimum.
+// Congruent candidate sets (the children of the nodes of one MSM level)
+// share a signature. Opaque: only OptimalMechanism reads or writes it.
+class OptTemplate {
+ private:
+  friend class OptimalMechanism;
+  int n_ = 0;
+  double eps_ = 0.0;
+  std::vector<int> seeds_;  // x * n + x' per seeded pair, in seeding order
+  lp::Basis basis_;
+};
+
 class OptimalMechanism final : public Mechanism {
  public:
   // `locations`: the n candidate locations (actual and reported sets
@@ -116,10 +138,16 @@ class OptimalMechanism final : public Mechanism {
   // internally). Fails with kDeadlineExceeded/kResourceExhausted when the
   // solver hits its limits, and with kInternal when the solution has an
   // all-zero row (no distribution to serve for that location).
+  //
+  // Column generation only: the first round starts from `start` when its
+  // signature matches this instance, and cold otherwise; `first_round`,
+  // if set, receives this solve's own first-round basis as a template.
+  // Either way the result is an optimum of the same LP.
   static StatusOr<OptimalMechanism> Create(
       double eps, std::vector<geo::Point> locations,
       std::vector<double> prior, geo::UtilityMetric metric,
-      const OptimalMechanismOptions& options = {});
+      const OptimalMechanismOptions& options = {},
+      const OptTemplate* start = nullptr, OptTemplate* first_round = nullptr);
 
   // Rehydrates a previously solved mechanism from its serialized tables —
   // zero LP work, and ReportIndex draws the exact sequence the original
@@ -215,7 +243,15 @@ class OptimalMechanism final : public Mechanism {
 
   friend class OptimalMechanismTestPeer;
 
-  Status SolveColumnGeneration(const OptimalMechanismOptions& options);
+  // The (x, x') pairs whose GeoInd constraints seed the dual, as x * n +
+  // x': each location's nearest neighbors, by distance rounded to a fixed
+  // grid and then by index, so that congruent candidate sets seed the same
+  // columns in the same order.
+  static std::vector<int> SeedPairs(std::span<const geo::Point> locations);
+
+  Status SolveColumnGeneration(const OptimalMechanismOptions& options,
+                               const OptTemplate* start,
+                               OptTemplate* first_round);
   Status SolveFullPrimal(const OptimalMechanismOptions& options);
   Status FinalizeMatrix(std::vector<double> raw);
   void BuildRowSamplers(const OptimalMechanismOptions& options);

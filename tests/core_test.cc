@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/thread_pool.h"
 #include "core/budget.h"
 #include "core/location_sanitizer.h"
 #include "core/msm.h"
@@ -392,6 +393,158 @@ TEST(MsmTest, WorksOverQuadTreeWithEarlyLeaves) {
   for (int i = 0; i < 30; ++i) {
     const Point z = msm->Report({18.0, 18.0}, qrng);
     EXPECT_TRUE(kDomain.Contains(z));
+  }
+}
+
+// Internal nodes the mechanism can solve, each with its budget level, in
+// breadth-first order.
+std::vector<std::pair<spatial::NodeIndex, int>> InternalNodes(
+    const MultiStepMechanism& msm) {
+  std::vector<std::pair<spatial::NodeIndex, int>> nodes;
+  std::vector<std::pair<spatial::NodeIndex, int>> queue = {
+      {spatial::HierarchicalPartition::kRoot, 1}};
+  for (size_t i = 0; i < queue.size(); ++i) {
+    const auto [node, level] = queue[i];
+    if (level > msm.height() || msm.index().IsLeaf(node)) continue;
+    nodes.push_back(queue[i]);
+    for (const spatial::ChildInfo& c : msm.index().Children(node)) {
+      queue.emplace_back(c.id, level + 1);
+    }
+  }
+  return nodes;
+}
+
+// Every node below the root starts from its level's template, whichever
+// thread builds it and whenever: prewarming with no pool, with one worker
+// and with three gives bit-identical matrices.
+TEST(MsmTest, TemplateKIsBitIdenticalAcrossPoolSizes) {
+  auto index = MakeGrid(3, 3);
+  auto prior = MakeSkewedPrior();
+  const auto warm_all = [&](ThreadPool* pool) {
+    auto msm = MultiStepMechanism::Create(2.0, index, prior, MsmOptions{});
+    EXPECT_TRUE(msm.ok());
+    EXPECT_EQ(msm->height(), 3);
+    const auto nodes = InternalNodes(*msm);
+    auto warmed = msm->PrewarmTopNodes(static_cast<int>(nodes.size()), pool);
+    EXPECT_TRUE(warmed.ok()) << warmed.status();
+    std::map<spatial::NodeIndex, std::vector<double>> k;
+    for (const auto& [node, level] : nodes) {
+      const auto mech = msm->cache().TryGet(node);
+      EXPECT_NE(mech, nullptr) << "node " << node;
+      if (mech == nullptr) continue;
+      k[node].assign(mech->k_table().begin(), mech->k_table().end());
+    }
+    return k;
+  };
+  const auto serial = warm_all(nullptr);
+  EXPECT_EQ(serial.size(), 1u + 9u + 81u);
+  for (const int workers : {1, 3}) {
+    ThreadPool pool(workers, 64);
+    EXPECT_EQ(warm_all(&pool), serial) << workers << " workers";
+  }
+}
+
+// Warms every node of `msm` and checks each against a cold Create of the
+// same node: the expected losses agree to 1e-9 relative. Returns the dual
+// pivots the nodes below the root took from their level templates.
+int64_t ExpectNodesMatchColdCreate(const MultiStepMechanism& msm,
+                                   const prior::Prior& prior) {
+  const auto nodes = InternalNodes(msm);
+  const auto warmed = msm.PrewarmTopNodes(static_cast<int>(nodes.size()));
+  EXPECT_TRUE(warmed.ok()) << warmed.status();
+  int64_t dual_pivots = 0;
+  for (const auto& [node, level] : nodes) {
+    const auto mech = msm.cache().TryGet(node);
+    EXPECT_NE(mech, nullptr) << "node " << node;
+    if (mech == nullptr) continue;
+    std::vector<Point> centers;
+    std::vector<BBox> boxes;
+    for (const spatial::ChildInfo& c : msm.index().Children(node)) {
+      centers.push_back(c.bounds.Center());
+      boxes.push_back(c.bounds);
+    }
+    std::vector<double> node_prior = prior.CellMasses(boxes);
+    double total = 0.0;
+    for (double m : node_prior) total += m;
+    if (!(total > 1e-15)) std::fill(node_prior.begin(), node_prior.end(), 1.0);
+    const auto cold = mechanisms::OptimalMechanism::Create(
+        msm.budget().per_level[level - 1], centers, node_prior,
+        geo::UtilityMetric::kEuclidean);
+    EXPECT_TRUE(cold.ok()) << cold.status();
+    if (!cold.ok()) continue;
+    EXPECT_EQ(cold->stats().dual_iterations, 0);
+    EXPECT_NEAR(mech->ExpectedLoss(), cold->ExpectedLoss(),
+                1e-9 * cold->ExpectedLoss())
+        << "node " << node << " level " << level;
+    if (level >= 2) dual_pivots += mech->stats().dual_iterations;
+  }
+  return dual_pivots;
+}
+
+// A template start reaches the same optimum as a cold Create of the same
+// node.
+TEST(MsmTest, TemplateSolvesMatchColdCreate) {
+  auto prior = MakeSkewedPrior();
+  auto msm = MultiStepMechanism::Create(2.0, MakeGrid(3, 3), prior,
+                                        MsmOptions{});
+  ASSERT_TRUE(msm.ok());
+  ASSERT_EQ(msm->height(), 3);
+  EXPECT_GT(ExpectNodesMatchColdCreate(*msm, *prior), 0)
+      << "no node below the root used its template";
+}
+
+// On k-d and quadtree indexes, nodes whose children are not congruent to
+// their level template's donor start cold or from a basis the solver
+// checks; either way each node reaches the cold optimum.
+TEST(MsmTest, TemplateSolvesMatchColdCreateOnKdAndQuadTree) {
+  auto prior = MakeSkewedPrior();
+  rng::Rng rng(21);
+  std::vector<Point> pts;
+  for (int i = 0; i < 3000; ++i) {
+    pts.push_back({std::clamp(rng.Gaussian(6.0, 1.5), 0.0, 20.0),
+                   std::clamp(rng.Gaussian(7.0, 1.5), 0.0, 20.0)});
+  }
+  auto kd = spatial::KdPartition::Create(kDomain, pts, 2, 4);
+  ASSERT_TRUE(kd.ok());
+  auto qt = spatial::AdaptiveQuadTree::Create(kDomain, pts, 5, 100);
+  ASSERT_TRUE(qt.ok());
+  const std::shared_ptr<const spatial::HierarchicalPartition> indexes[] = {
+      std::make_shared<spatial::KdPartition>(std::move(kd).value()),
+      std::make_shared<spatial::AdaptiveQuadTree>(std::move(qt).value())};
+  for (const auto& index : indexes) {
+    auto msm = MultiStepMechanism::Create(2.0, index, prior, MsmOptions{});
+    ASSERT_TRUE(msm.ok());
+    ASSERT_GE(msm->height(), 2);
+    ExpectNodesMatchColdCreate(*msm, *prior);
+  }
+}
+
+// Prewarm pushes a node's children when it claims the node, so drainers
+// claim in the serial order: a pool warms exactly the serial set even
+// when, as under this skewed prior, a grandchild of the heaviest child
+// outranks the other children.
+TEST(PrewarmFanoutTest, PoolWarmsTheSerialSet) {
+  auto index = MakeGrid(3, 3);
+  auto prior = MakeSkewedPrior();
+  const auto warmed_set = [&](ThreadPool* pool) {
+    auto msm = MultiStepMechanism::Create(2.0, index, prior, MsmOptions{});
+    EXPECT_TRUE(msm.ok());
+    EXPECT_EQ(msm->height(), 3);
+    auto warmed = msm->PrewarmTopNodes(6, pool);
+    EXPECT_TRUE(warmed.ok()) << warmed.status();
+    if (warmed.ok()) {
+      EXPECT_EQ(warmed.value(), 6);
+    }
+    std::vector<spatial::NodeIndex> set;
+    for (const auto& [node, level] : InternalNodes(*msm)) {
+      if (msm->cache().TryGet(node) != nullptr) set.push_back(node);
+    }
+    return set;
+  };
+  const std::vector<spatial::NodeIndex> serial = warmed_set(nullptr);
+  ThreadPool pool(3, 64);
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    EXPECT_EQ(warmed_set(&pool), serial) << "repeat " << repeat;
   }
 }
 

@@ -528,6 +528,104 @@ TEST(SimplexTest, WarmStartAfterManyRefactorizations) {
               1e-4 * (1.0 + std::abs(warm.objective)));
 }
 
+// The column-generation pattern of a level template: the same matrix and
+// costs with another right-hand side. The old optimal basis is then dual
+// feasible but not primal feasible, and the dual phase takes it to the
+// new optimum in fewer pivots than a cold solve.
+TEST(SimplexTest, WarmStartAfterRhsChangeRunsTheDualPhase) {
+  rng::Rng rng(91);
+  const int n = 60;
+  const int rows = 90;
+  std::vector<double> ub(n), cost(n);
+  for (int j = 0; j < n; ++j) {
+    ub[j] = rng.Uniform(1.0, 4.0);
+    cost[j] = rng.Uniform(-3.0, 1.0);
+  }
+  std::vector<std::vector<Coefficient>> terms(rows);
+  std::vector<bool> less(rows);
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (rng.Uniform() < 0.3) terms[i].push_back({j, rng.Uniform(-2.0, 2.0)});
+    }
+    less[i] = rng.Uniform() < 0.5;
+  }
+  // One model per interior point x0: each row holds at x0 with a margin.
+  const auto build = [&](uint64_t seed) {
+    rng::Rng point_rng(seed);
+    Model m;
+    std::vector<double> x0(n);
+    for (int j = 0; j < n; ++j) {
+      m.AddVariable(0.0, ub[j], cost[j]);
+      x0[j] = point_rng.Uniform(0.1, 0.9) * ub[j];
+    }
+    for (int i = 0; i < rows; ++i) {
+      double activity = 0.0;
+      for (const Coefficient& t : terms[i]) activity += t.value * x0[t.var];
+      const double margin = point_rng.Uniform(0.0, 1.0);
+      m.AddConstraint(less[i] ? ConstraintSense::kLessEqual
+                              : ConstraintSense::kGreaterEqual,
+                      less[i] ? activity + margin : activity - margin,
+                      terms[i]);
+    }
+    return m;
+  };
+  const Model first = build(1);
+  Basis basis;
+  ASSERT_TRUE(
+      RevisedSimplex::Solve(first, DefaultOptions(), nullptr, &basis)
+          .optimal());
+
+  const Model second = build(2);
+  const LpSolution warm = RevisedSimplex::Solve(second, DefaultOptions(),
+                                                &basis);
+  ASSERT_TRUE(warm.optimal()) << SolveStatusToString(warm.status);
+  VerifyKkt(second, warm);
+  EXPECT_GT(warm.dual_iterations, 0);
+  const LpSolution cold = RevisedSimplex::Solve(second, DefaultOptions());
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_EQ(cold.dual_iterations, 0);
+  EXPECT_NEAR(warm.objective, cold.objective,
+              1e-8 * (1.0 + std::abs(cold.objective)));
+  EXPECT_LT(warm.iterations, cold.iterations);
+}
+
+// A warm basis whose values break their bounds and under which a column
+// with a one-sided bound prices in is neither primal nor dual feasible:
+// the solve starts cold, exactly as without the basis.
+TEST(SimplexTest, WarmBasisNeitherPrimalNorDualFeasibleStartsCold) {
+  const auto build = [](double sign, double rhs1) {
+    Model m;
+    const int x = m.AddVariable(0.0, kInfinity, sign);
+    const int y = m.AddVariable(0.0, kInfinity, sign);
+    m.AddConstraint(ConstraintSense::kLessEqual, 4.0, {{x, 1.0}, {y, 2.0}});
+    m.AddConstraint(ConstraintSense::kLessEqual, rhs1, {{x, 3.0}, {y, 1.0}});
+    return m;
+  };
+  // max x + y: the optimum (8/5, 6/5) has both structurals basic.
+  Basis basis;
+  const LpSolution first = RevisedSimplex::Solve(build(-1.0, 6.0),
+                                                 DefaultOptions(), nullptr,
+                                                 &basis);
+  ASSERT_TRUE(first.optimal());
+  EXPECT_NEAR(first.objective, -2.8, 1e-9);
+
+  // min x + y with 3x + y <= 1: that basis puts x at -2/5, and both
+  // slacks, at their lower bound of 0, price in.
+  const Model second = build(1.0, 1.0);
+  const LpSolution warm = RevisedSimplex::Solve(second, DefaultOptions(),
+                                                &basis);
+  ASSERT_TRUE(warm.optimal()) << SolveStatusToString(warm.status);
+  VerifyKkt(second, warm);
+  const LpSolution cold = RevisedSimplex::Solve(second, DefaultOptions());
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_EQ(warm.dual_iterations, 0);
+  EXPECT_EQ(warm.iterations, cold.iterations);
+  EXPECT_EQ(warm.refactorizations, cold.refactorizations + 1)
+      << "one refactorization of the refused basis";
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_EQ(warm.x, cold.x);
+}
+
 TEST(SimplexTest, TimeLimitReported) {
   // A big random dense LP with a microscopic time budget must stop with
   // kTimeLimit rather than hanging.

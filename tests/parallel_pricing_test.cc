@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -45,6 +46,9 @@ class OptimalMechanismTestPeer {
   }
   static Status Finalize(OptimalMechanism& mech, std::vector<double> raw) {
     return mech.FinalizeMatrix(std::move(raw));
+  }
+  static std::vector<int> SeedPairs(std::span<const geo::Point> locations) {
+    return OptimalMechanism::SeedPairs(locations);
   }
 };
 
@@ -187,6 +191,32 @@ TEST(OptStrictModeTest, StrictRejectsAllZeroRow) {
       mech, {1.0, 0.0, 0.0, 0.0});
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+}
+
+// The nodes of one level of a grid index have congruent children, but
+// their centers are translated copies that round differently in the last
+// bits. Seeding ranks neighbors on geometry alone, so every node seeds the
+// same columns in the same order, and a level template fits them all.
+TEST(OptimalMechanismSeedTest, TranslatedNodesSeedTheSameColumnsInOrder) {
+  auto grid = spatial::HierarchicalGrid::Create(
+      BBox{3.7, 11.3, 23.7, 31.3}, 4, 2);
+  ASSERT_TRUE(grid.ok());
+  std::vector<int> first;
+  for (const spatial::ChildInfo& node :
+       grid->Children(spatial::HierarchicalPartition::kRoot)) {
+    std::vector<Point> centers;
+    for (const spatial::ChildInfo& c : grid->Children(node.id)) {
+      centers.push_back(c.bounds.Center());
+    }
+    const std::vector<int> seeds =
+        mechanisms::OptimalMechanismTestPeer::SeedPairs(centers);
+    ASSERT_EQ(seeds.size(), 16u * 4u);
+    if (first.empty()) {
+      first = seeds;
+    } else {
+      EXPECT_EQ(seeds, first) << "node " << node.id;
+    }
+  }
 }
 
 core::MultiStepMechanism MakeMsm(
