@@ -18,8 +18,6 @@ ThreadPool::~ThreadPool() { Shutdown(); }
 
 bool ThreadPool::TrySubmit(Task task) { return queue_.TryPush(std::move(task)); }
 
-bool ThreadPool::Submit(Task task) { return queue_.Push(std::move(task)); }
-
 void ThreadPool::Shutdown() {
   queue_.Close();
   for (std::thread& w : workers_) {

@@ -5,9 +5,10 @@
 //  * tasks receive the id of the worker running them, so callers can keep
 //    per-worker state (deterministic RNG streams, scratch buffers) without
 //    any synchronization;
-//  * the queue is bounded and exposes a non-blocking TrySubmit, which is
-//    how the service applies backpressure: when the queue is full the
-//    submission fails immediately instead of growing an unbounded backlog.
+//  * the queue is bounded and exposes only a non-blocking TrySubmit,
+//    which is how the service applies backpressure: when the queue is full
+//    the submission fails immediately instead of growing an unbounded
+//    backlog.
 
 #ifndef GEOPRIV_BASE_THREAD_POOL_H_
 #define GEOPRIV_BASE_THREAD_POOL_H_
@@ -24,8 +25,9 @@
 namespace geopriv {
 
 // Bounded multi-producer multi-consumer queue. All methods are thread-safe.
-// Closing wakes every blocked producer and consumer; a closed queue rejects
-// pushes but drains its remaining items.
+// Producers never block: TryPush is the one way in. Closing wakes every
+// blocked consumer; a closed queue rejects pushes but drains its remaining
+// items.
 template <typename T>
 class BoundedQueue {
  public:
@@ -41,18 +43,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Blocks until there is space; false when the queue was closed first.
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
   // Blocks until an item is available; false when the queue is closed and
   // drained.
   bool Pop(T* out) {
@@ -61,8 +51,6 @@ class BoundedQueue {
     if (items_.empty()) return false;
     *out = std::move(items_.front());
     items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return true;
   }
 
@@ -72,7 +60,11 @@ class BoundedQueue {
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
+  }
+
+  bool closed() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return closed_;
   }
 
   size_t size() const {
@@ -86,7 +78,6 @@ class BoundedQueue {
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   bool closed_ = false;
 };
@@ -110,12 +101,13 @@ class ThreadPool {
   // or the pool is shut down.
   bool TrySubmit(Task task);
 
-  // Blocking submission; false only when the pool is shut down.
-  bool Submit(Task task);
-
   // Stops accepting tasks, runs what is already queued, joins the workers.
   // Idempotent; also called by the destructor.
   void Shutdown();
+
+  // True once Shutdown() has begun: every later TrySubmit fails. Tells a
+  // refused submission's two causes apart.
+  bool shut_down() const { return queue_.closed(); }
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
   size_t queue_depth() const { return queue_.size(); }

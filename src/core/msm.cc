@@ -534,20 +534,6 @@ StatusOr<geo::Point> MultiStepMechanism::ReportOrStatus(
   return WalkOne(plan.get(), actual, rng);
 }
 
-std::vector<StatusOr<geo::Point>> MultiStepMechanism::ReportBatchOrStatus(
-    const std::vector<geo::Point>& actuals, rng::Rng& rng) const {
-  std::vector<StatusOr<geo::Point>> out;
-  out.reserve(actuals.size());
-  // One plan pin for the whole batch. Points are processed in submission
-  // order, never regrouped — regrouping would permute the RNG draw
-  // sequence and break bit-identity with the sequential calls.
-  const std::shared_ptr<const ServingPlan> plan = CurrentPlan();
-  for (const geo::Point& actual : actuals) {
-    out.push_back(WalkOne(plan.get(), actual, rng));
-  }
-  return out;
-}
-
 geo::Point MultiStepMechanism::Report(geo::Point actual, rng::Rng& rng) {
   auto result = ReportOrStatus(actual, rng);
   GEOPRIV_CHECK_MSG(result.ok(), result.status().ToString().c_str());

@@ -120,12 +120,6 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
   // `rng` must be private to the calling thread.
   StatusOr<geo::Point> ReportOrStatus(geo::Point actual, rng::Rng& rng) const;
 
-  // Walks every point in submission order against one pinned plan,
-  // drawing from `rng` exactly as the equivalent sequence of
-  // ReportOrStatus calls would — bit-identical outputs for a fixed seed.
-  std::vector<StatusOr<geo::Point>> ReportBatchOrStatus(
-      const std::vector<geo::Point>& actuals, rng::Rng& rng) const;
-
   // Mechanism interface; aborts on solver failure (which cannot happen with
   // the default unlimited solver options).
   geo::Point Report(geo::Point actual, rng::Rng& rng) override;

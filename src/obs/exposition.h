@@ -1,5 +1,5 @@
-// One definition per metric: each scope (service, trace, region, shard,
-// audit report, audit level) has one table function returning its rows
+// One definition per metric: each scope (service, trace, region, audit
+// report, audit level) has one table function returning its rows
 // over a source value, and both the JSON and the Prometheus text
 // exposition are generated from them. Row order is the JSON key order and
 // the family order — the scope's schema: append, never rename or reorder.

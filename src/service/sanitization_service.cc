@@ -19,9 +19,6 @@ namespace {
 // (4096^2 cells ~= 17M, still O(1) memory since UniformGrid is implicit).
 constexpr int kMaxFallbackCellsPerAxis = 4096;
 
-// SanitizeBatch items per pool task.
-constexpr size_t kBatchChunkSize = 8;
-
 // Relative move of expected Euclidean loss or adversary error vs. the
 // stored audit baseline that counts as drift.
 constexpr double kDriftRelativeThreshold = 0.25;
@@ -74,7 +71,7 @@ class RequestTracer {
     if (result.deadline_overrun) {
       trace_.SetFlags(obs::kFlagDeadlineOverrun);
     }
-    // ServeOne already measured the latency into the result; reusing it
+    // Process already measured the latency into the result; reusing it
     // keeps the unsampled fast path free of clock reads.
     const double latency_seconds = result.latency_ms * 1e-3;
     if ((trace_.flags() & obs::kFlagSampled) != 0) {
@@ -130,9 +127,6 @@ StatusOr<std::unique_ptr<SanitizationService>> SanitizationService::Create(
   if (options.default_deadline_ms < 0.0) {
     return Status::InvalidArgument("default_deadline_ms must be >= 0");
   }
-  if (options.num_shards < 0) {
-    return Status::InvalidArgument("num_shards must be >= 0");
-  }
   if (options.auditor.cadence_seconds < 0.0) {
     return Status::InvalidArgument("auditor.cadence_seconds must be >= 0");
   }
@@ -149,9 +143,6 @@ SanitizationService::SanitizationService(const ServiceOptions& options)
                   std::memory_order_release);
   if (options.trace.sample_one_in > 0) {
     recorder_ = std::make_unique<obs::TraceRecorder>(options.trace);
-  }
-  if (options.num_shards > 0) {
-    router_ = std::make_unique<ShardRouter>(options.num_shards);
   }
   worker_rngs_.reserve(static_cast<size_t>(options.num_workers));
   for (int w = 0; w < options.num_workers; ++w) {
@@ -338,93 +329,69 @@ void SanitizationService::FinishOne() {
   inflight_cv_.notify_all();
 }
 
-void SanitizationService::ServeOne(Region& region,
-                                   const core::LatLon& location,
-                                   double deadline_ms, const Stopwatch& watch,
-                                   int worker_id, SanitizeResult* result) {
+void SanitizationService::Process(const SanitizeRequest& request,
+                                  const Stopwatch& watch,
+                                  const Callback& done, int worker_id) {
   const int slot = WorkerSlot(worker_id);
   rng::Rng& rng = worker_rngs_[static_cast<size_t>(worker_id)];
-  result->worker_id = worker_id;
+  SanitizeResult result;
+  result.worker_id = worker_id;
+  RequestTracer tracer(recorder_.get(), watch);
 
-  bool fallback = false;
-  // Fallback-reason detail on the kFallback span: 0 = the deadline was
-  // already gone at pickup, 1 = the MSM path failed mid-walk.
-  int32_t fallback_reason = 0;
-  if (deadline_ms > 0.0 && watch.ElapsedMillis() >= deadline_ms) {
+  const std::shared_ptr<Region> region = FindRegion(request.region_id);
+  const double deadline_ms = request.deadline_ms > 0.0
+                                 ? request.deadline_ms
+                                 : options_.default_deadline_ms;
+  // Why the request degrades, and the kFallback span's detail: 0 = the
+  // deadline was already gone at pickup, 1 = the MSM path failed
+  // mid-walk. -1 = no fallback.
+  int32_t fallback_reason = -1;
+  if (region == nullptr) {
+    result.status =
+        Status::NotFound("unknown region '" + request.region_id + "'");
+    metrics_.RecordFailed(slot);
+  } else if (deadline_ms > 0.0 && watch.ElapsedMillis() >= deadline_ms) {
     // The deadline burned away in the queue: skip the MSM walk entirely.
-    fallback = true;
+    fallback_reason = 0;
     metrics_.RecordDeadlineFallback(slot);
   } else {
-    auto sanitized = region.sanitizer.SanitizeLatLonOrStatus(
-        location.lat, location.lon, rng);
+    auto sanitized = region->sanitizer.SanitizeLatLonOrStatus(
+        request.location.lat, request.location.lon, rng);
     if (sanitized.ok()) {
-      result->reported = sanitized.value();
+      result.reported = sanitized.value();
       metrics_.RecordOk(slot);
       // Re-check after the walk: a request that blew its deadline
       // mid-walk must not be reported as an on-time success. The reply is
       // still served — the privacy budget was already spent — but the
       // overrun is visible to the caller and the dashboards.
       if (deadline_ms > 0.0 && watch.ElapsedMillis() >= deadline_ms) {
-        result->deadline_overrun = true;
+        result.deadline_overrun = true;
         metrics_.RecordDeadlineOverrun(slot);
       }
     } else {
       // Typically kDeadlineExceeded from a capped LP solve. Degrade —
       // never fail the request over a utility optimization.
-      fallback = true;
       fallback_reason = 1;
       metrics_.RecordMechanismFallback(slot);
     }
   }
-  if (fallback) {
+  if (fallback_reason >= 0) {
     obs::RequestTrace* const trace = obs::ActiveTrace();
     const uint64_t fb_start = trace != nullptr ? obs::NowTicks() : 0;
-    const auto& projection = region.sanitizer.projection();
-    const geo::Point actual = region.sanitizer.domain_km().Clamp(
-        projection.Forward(location.lat, location.lon));
-    const geo::Point reported = region.fallback.Report(actual, rng);
-    projection.Inverse(reported, &result->reported.lat,
-                       &result->reported.lon);
-    result->used_fallback = true;
+    const auto& projection = region->sanitizer.projection();
+    const geo::Point actual = region->sanitizer.domain_km().Clamp(
+        projection.Forward(request.location.lat, request.location.lon));
+    const geo::Point reported = region->fallback.Report(actual, rng);
+    projection.Inverse(reported, &result.reported.lat, &result.reported.lon);
+    result.used_fallback = true;
     if (trace != nullptr) {
       trace->Emit(obs::SpanKind::kFallback, fb_start, obs::NowTicks(),
                   /*node=*/-1, fallback_reason);
     }
   }
 
-  result->latency_ms = watch.ElapsedMillis();
+  result.latency_ms = watch.ElapsedMillis();
   metrics_.RecordLatency(watch.ElapsedSeconds(), slot);
-}
-
-void SanitizationService::Process(const SanitizeRequest& request,
-                                  const Stopwatch& watch,
-                                  const Callback& done, int worker_id) {
-  SanitizeResult result;
-  result.worker_id = worker_id;
-  RequestTracer tracer(recorder_.get(), watch);
-  if (router_ != nullptr) {
-    router_->RecordRequest(router_->ShardFor(request.region_id));
-  }
-
-  const std::shared_ptr<Region> region = FindRegion(request.region_id);
-  if (region == nullptr) {
-    const int slot = WorkerSlot(worker_id);
-    result.status =
-        Status::NotFound("unknown region '" + request.region_id + "'");
-    metrics_.RecordFailed(slot);
-    result.latency_ms = watch.ElapsedMillis();
-    metrics_.RecordLatency(watch.ElapsedSeconds(), slot);
-    tracer.Finish(result);
-    if (done) done(result);
-    FinishOne();
-    return;
-  }
-
-  const double deadline_ms = request.deadline_ms > 0.0
-                                 ? request.deadline_ms
-                                 : options_.default_deadline_ms;
-  ServeOne(*region, request.location, deadline_ms, watch, worker_id,
-           &result);
   tracer.Finish(result);
   if (done) done(result);
   FinishOne();
@@ -443,6 +410,11 @@ Status SanitizationService::SubmitAsync(SanitizeRequest request,
   if (!accepted) {
     FinishOne();
     metrics_.RecordRejected();
+    // Told apart only here, off the accepted path: a full queue invites a
+    // retry, a stopped service must not.
+    if (pool_->shut_down()) {
+      return Status::FailedPrecondition("service is shut down");
+    }
     return Status::ResourceExhausted("sanitization queue is full");
   }
   metrics_.RecordAccepted();
@@ -465,102 +437,6 @@ std::future<SanitizeResult> SanitizationService::SubmitFuture(
   return future;
 }
 
-std::vector<SanitizeResult> SanitizationService::SanitizeBatch(
-    const std::string& region_id,
-    const std::vector<core::LatLon>& locations) {
-  std::vector<SanitizeResult> results(locations.size());
-  if (locations.empty()) return results;
-
-  struct BatchState {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t pending;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->pending = locations.size();
-
-  // Chunked fan-out: each pool task serves kBatchChunkSize consecutive
-  // items and resolves the region once (one snapshot load), so per-item
-  // queue and lookup overhead is paid once per chunk. Items run in
-  // submission order within a chunk, which keeps a single-worker batch's
-  // RNG draw sequence identical to item-per-task submission. The caller
-  // blocks until pending == 0, so capturing its region_id/locations/
-  // results by reference is safe.
-  for (size_t begin = 0; begin < locations.size(); begin += kBatchChunkSize) {
-    const size_t end = std::min(locations.size(), begin + kBatchChunkSize);
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      ++inflight_;
-    }
-    const Stopwatch watch;
-    // Blocking submission: a batch caller asked for the whole batch, so
-    // backpressure turns into producer blocking rather than rejection.
-    const bool submitted = pool_->Submit([this, state, watch, &region_id,
-                                          &locations, &results, begin,
-                                          end](int worker_id) {
-      if (router_ != nullptr) {
-        // One ShardFor per chunk (the chunk shares one region id), one
-        // count per item — the router sees the same request volume the
-        // item-per-task path would record.
-        const int shard = router_->ShardFor(region_id);
-        for (size_t i = begin; i < end; ++i) router_->RecordRequest(shard);
-      }
-      const std::shared_ptr<Region> region = FindRegion(region_id);
-      if (region == nullptr) {
-        const int slot = WorkerSlot(worker_id);
-        for (size_t i = begin; i < end; ++i) {
-          RequestTracer tracer(recorder_.get(), watch);
-          results[i].worker_id = worker_id;
-          results[i].status =
-              Status::NotFound("unknown region '" + region_id + "'");
-          metrics_.RecordFailed(slot);
-          results[i].latency_ms = watch.ElapsedMillis();
-          metrics_.RecordLatency(watch.ElapsedSeconds(), slot);
-          tracer.Finish(results[i]);
-        }
-      } else {
-        for (size_t i = begin; i < end; ++i) {
-          // One tracer per item: every item of the chunk gets its own
-          // request id and retention decision (the queue-wait span of a
-          // late item includes its wait behind earlier chunk items).
-          RequestTracer tracer(recorder_.get(), watch);
-          ServeOne(*region, locations[i], options_.default_deadline_ms, watch,
-                   worker_id, &results[i]);
-          tracer.Finish(results[i]);
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->pending -= end - begin;
-      }
-      state->cv.notify_one();
-      FinishOne();
-    });
-    if (submitted) {
-      for (size_t i = begin; i < end; ++i) metrics_.RecordAccepted();
-    } else {
-      // Pool shut down underneath the batch.
-      FinishOne();
-      for (size_t i = begin; i < end; ++i) {
-        metrics_.RecordRejected();
-        results[i].status = Status::ResourceExhausted("service is shut down");
-      }
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->pending -= end - begin;
-      }
-      // Without this notify, a rejection that lands after the producer
-      // has started waiting (e.g. on a re-entrant or future multi-
-      // producer batch path) would strand it forever.
-      state->cv.notify_one();
-    }
-  }
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->pending == 0; });
-  return results;
-}
-
 void SanitizationService::Drain() {
   std::unique_lock<std::mutex> lock(inflight_mu_);
   inflight_cv_.wait(lock, [&] { return inflight_ == 0; });
@@ -568,9 +444,8 @@ void SanitizationService::Drain() {
 
 void SanitizationService::Shutdown() {
   // Stop the auditor first so no new audit tasks land on a closing pool,
-  // then close the queue so blocked batch producers fail over to the
-  // rejection path instead of keeping the drain alive, then wait for the
-  // already-accepted work.
+  // then close the queue so new submissions are refused, then wait for
+  // the already-accepted work.
   StopAuditor();
   pool_->Shutdown();
   Drain();
@@ -609,9 +484,9 @@ void SanitizationService::RunAuditPass() {
       std::lock_guard<std::mutex> lock(inflight_mu_);
       ++inflight_;
     }
-    // TrySubmit, never Submit: the auditor is strictly lower priority
-    // than request traffic, so a saturated queue skips the region (and
-    // counts the skip) instead of blocking or displacing a request.
+    // The auditor is strictly lower priority than request traffic, so a
+    // saturated queue skips the region (and counts the skip) instead of
+    // displacing a request.
     const bool accepted =
         pool_->TrySubmit([this, id = id, region = region](int worker_id) {
           AuditOneRegion(id, region, WorkerSlot(worker_id));
@@ -807,13 +682,7 @@ std::string SanitizationService::MetricsJson() const {
     obs::AppendJson(json, rows);
     json += "}";
   }
-  // With routing off, "shards" is the empty table (stable schema).
-  json += "},\"shards\":";
-  json += router_ != nullptr
-              ? router_->RoutingTableJson()
-              : "{\"num_shards\":0,\"vnodes_per_shard\":0,\"requests\":[],"
-                "\"requests_total\":0,\"shard_imbalance_ratio\":0}";
-  json += "}";
+  json += "}}";
   return json;
 }
 
@@ -827,7 +696,6 @@ std::string SanitizationService::MetricsText() const {
     obs::AppendPrometheus(out, "geopriv_trace_",
                           obs::TraceMetrics(recorder_.get()), obs::kG9);
   }
-  if (router_ != nullptr) out += router_->RoutingTablePrometheus();
   const obs::LabelledMetrics regions = RegionMetricRows(*snap);
   if (!regions.empty()) {
     obs::AppendPrometheus(out, "geopriv_region_", RegionMetrics({}),

@@ -23,9 +23,9 @@
 //  * a service::Metrics registry (request/fallback counters + latency
 //    histogram) dumped as JSON by MetricsJson().
 //
-// APIs: blocking SanitizeBatch() fans a batch across the pool and waits;
-// SubmitAsync() enqueues one request with a completion callback;
-// SubmitFuture() is the future-shaped wrapper over the same queue.
+// One way in: SubmitAsync() enqueues one request with a completion
+// callback, and SubmitFuture() is the future-shaped wrapper over it.
+// Neither blocks; a caller with many locations submits each one.
 
 #ifndef GEOPRIV_SERVICE_SANITIZATION_SERVICE_H_
 #define GEOPRIV_SERVICE_SANITIZATION_SERVICE_H_
@@ -53,7 +53,6 @@
 #include "obs/exposition.h"
 #include "obs/trace.h"
 #include "service/metrics.h"
-#include "service/shard_router.h"
 
 namespace geopriv::service {
 
@@ -94,15 +93,6 @@ struct ServiceOptions {
   // default) disables tracing entirely: no recorder is built and every
   // instrumentation site costs one thread-local load and a branch.
   obs::TraceOptions trace;
-  // Virtual serving shards (see service/shard_router.h). 0 (the default)
-  // disables routing entirely; > 0 builds a deterministic consistent-hash
-  // ring, tags every request with its region's shard, and exposes the
-  // routing table plus per-shard request counts in MetricsJson() /
-  // MetricsText(). This process still serves every registered region —
-  // the shard is an observability/placement signal, not an admission
-  // filter — so a fleet can run the same ring in N processes and have
-  // each one register only the regions ShardFor() assigns it.
-  int num_shards = 0;
   // Background privacy/utility auditor (src/audit/). With a cadence > 0 a
   // dedicated low-priority scheduler thread wakes every cadence_seconds
   // and fans one audit task per registered region onto the worker pool via
@@ -148,7 +138,8 @@ struct SanitizeRequest {
 
 struct SanitizeResult {
   // Non-OK only when the request could not be served at all (unknown
-  // region, rejected at admission). Fallback replies are OK.
+  // region, refused at admission: queue full or service shut down).
+  // Fallback replies are OK.
   Status status;
   core::LatLon reported;
   bool used_fallback = false;
@@ -206,17 +197,10 @@ class SanitizationService {
   // movements with config changes.
   uint64_t snapshot_epoch() const;
 
-  // Blocking: fans the batch across the worker pool (bypassing admission
-  // control — batch submission blocks instead of rejecting) and waits for
-  // every result. results[i] corresponds to locations[i]. Must not be
-  // called from a worker thread.
-  std::vector<SanitizeResult> SanitizeBatch(
-      const std::string& region_id,
-      const std::vector<core::LatLon>& locations);
-
   // Non-blocking: enqueues the request; `done` runs on a worker thread.
-  // Returns kResourceExhausted when the queue is full (backpressure) —
-  // the callback is NOT invoked in that case.
+  // Returns kResourceExhausted when the queue is full (backpressure; a
+  // retry may succeed) and kFailedPrecondition once Shutdown() has begun
+  // (no retry will) — the callback is NOT invoked in either case.
   Status SubmitAsync(SanitizeRequest request, Callback done);
 
   // Future-shaped wrapper over SubmitAsync. An admission-rejected request
@@ -226,10 +210,9 @@ class SanitizationService {
   // Blocks until every accepted request has completed.
   void Drain();
 
-  // Graceful stop: closes the queue (blocked batch producers and new
-  // submissions are rejected with kResourceExhausted), runs what is
-  // already queued, joins the workers. Idempotent; also run by the
-  // destructor.
+  // Graceful stop: closes the queue (later submissions are refused with
+  // kFailedPrecondition), runs what is already queued, joins the workers.
+  // Idempotent; also run by the destructor.
   void Shutdown();
 
   // One region's stats, the source of its RegionMetrics rows.
@@ -260,14 +243,14 @@ class SanitizationService {
   const Metrics& metrics() const { return metrics_; }
 
   // One JSON object: "service" (ServiceMetrics), "snapshot_epoch",
-  // "trace" (obs::TraceMetrics), "regions" (a RegionMetrics object per
-  // id) and "shards" (ShardMetrics) — extended at the end only.
+  // "trace" (obs::TraceMetrics) and "regions" (a RegionMetrics object per
+  // id) — extended at the end only.
   std::string MetricsJson() const;
 
   // The same in the Prometheus text format, families prefixed
   // "geopriv_": Metrics::ToPrometheus(), the snapshot epoch, the trace
-  // counters (tracing on), the shard families (routing on) and the
-  // {region="<id>"}-labelled RegionMetrics families.
+  // counters (tracing on) and the {region="<id>"}-labelled RegionMetrics
+  // families.
   std::string MetricsText() const;
 
   // Post-mortem trace dumps ("[]" / empty traceEvents when tracing is
@@ -278,9 +261,6 @@ class SanitizationService {
   // The recorder itself, nullptr when options.trace.sample_one_in == 0.
   obs::TraceRecorder* trace_recorder() { return recorder_.get(); }
   const obs::TraceRecorder* trace_recorder() const { return recorder_.get(); }
-
-  // The consistent-hash router, nullptr when options.num_shards == 0.
-  const ShardRouter* shard_router() const { return router_.get(); }
 
   // Audits one region synchronously on the calling thread (same code the
   // background auditor runs, including drift detection and metrics).
@@ -363,16 +343,11 @@ class SanitizationService {
   void PublishLocked(
       std::unordered_map<std::string, std::shared_ptr<Region>> regions);
 
-  // Runs on a worker: serves one request end-to-end and fires `done`.
+  // Runs on a worker: serves one request end-to-end (registry lookup,
+  // deadline check, MSM walk, fallback, per-worker metrics) and fires
+  // `done`.
   void Process(const SanitizeRequest& request, const Stopwatch& watch,
                const Callback& done, int worker_id);
-
-  // The per-item serving logic shared by Process and the chunked batch
-  // path: deadline check, MSM walk, fallback, per-worker metrics.
-  // `deadline_ms` 0 = none.
-  void ServeOne(Region& region, const core::LatLon& location,
-                double deadline_ms, const Stopwatch& watch, int worker_id,
-                SanitizeResult* result);
 
   void FinishOne();
 
@@ -394,8 +369,6 @@ class SanitizationService {
   // Built iff options_.trace.sample_one_in > 0; never reassigned after
   // construction, so workers read it without synchronization.
   std::unique_ptr<obs::TraceRecorder> recorder_;
-  // Built iff options_.num_shards > 0; same immutability contract.
-  std::unique_ptr<ShardRouter> router_;
 
   // Writers only: serializes register/unregister and guards building_.
   // The serving path never touches it.

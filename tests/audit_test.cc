@@ -387,9 +387,6 @@ TEST(SanitizationServiceAuditTest, AuditRegionNowPublishesEverySurface) {
   ExpectKeysInOrder(json, service::RegionMetrics({}),
                     json.find("\"regions\":"));
   EXPECT_NE(json.find("\"audit_runs\":1"), std::string::npos) << json;
-  // Shards block keeps its schema even with routing off.
-  ExpectKeysInOrder(json, service::ShardMetrics({}),
-                    json.find("\"shards\":"));
 
   const std::string text = (*service)->MetricsText();
   EXPECT_NE(text.find("geopriv_audit_runs_total 1"), std::string::npos);

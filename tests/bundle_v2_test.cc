@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
 #include <string>
 #include <vector>
@@ -730,7 +731,6 @@ TEST(RegionBundleV2Test, OfflineBundleRoundTripSolvesNodesLazily) {
 TEST(ServiceBundleTest, LoadRegionFromBundleServesAndReportsMetrics) {
   service::ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 4;
   auto service = service::SanitizationService::Create(options);
   ASSERT_TRUE(service.ok());
 
@@ -741,12 +741,13 @@ TEST(ServiceBundleTest, LoadRegionFromBundleServesAndReportsMetrics) {
       (*service)->LoadRegionFromBundle("austin", SharedBundlePath()).code(),
       StatusCode::kFailedPrecondition);
 
-  std::vector<core::LatLon> batch;
+  std::vector<std::future<service::SanitizeResult>> replies;
   for (int i = 0; i < 32; ++i) {
-    batch.push_back({30.19 + 0.01 * (i % 6) / 6.0, -97.865});
+    replies.push_back((*service)->SubmitFuture(
+        {"austin", {30.19 + 0.01 * (i % 6) / 6.0, -97.865}, 0.0}));
   }
-  const auto results = (*service)->SanitizeBatch("austin", batch);
-  for (const auto& r : results) {
+  for (auto& reply : replies) {
+    const service::SanitizeResult r = reply.get();
     EXPECT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_FALSE(r.used_fallback);
   }
@@ -760,8 +761,6 @@ TEST(ServiceBundleTest, LoadRegionFromBundleServesAndReportsMetrics) {
 
   const std::string json = (*service)->MetricsJson();
   EXPECT_NE(json.find("\"bundle_loads\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shards\":{\"num_shards\":4"), std::string::npos)
-      << json;
   const std::string text = (*service)->MetricsText();
   EXPECT_NE(text.find("geopriv_bundle_loads_total 1"), std::string::npos);
   EXPECT_NE(text.find("geopriv_region_bundle_bytes_mapped{region=\"austin\"}"),

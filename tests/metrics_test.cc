@@ -1,6 +1,6 @@
 // Tests for the service metrics surface: the stable key schema (the
-// ServiceMetrics / TraceMetrics / RegionMetrics / ShardMetrics tables are
-// the one source of truth), the cumulative histogram export, the
+// ServiceMetrics / TraceMetrics / RegionMetrics tables are the one source
+// of truth), the cumulative histogram export, the
 // Prometheus text format, exact integer samples, the escapes, golden
 // bytes of every exposition, and the QuantileFromBuckets estimator's
 // monotonicity.
@@ -12,14 +12,12 @@
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "audit/audit.h"
 #include "service/sanitization_service.h"
-#include "service/shard_router.h"
 
 namespace geopriv::service {
 namespace {
@@ -136,8 +134,7 @@ TEST(MetricsSchemaTest, ServiceMetricsJsonFollowsTheDocumentedSchema) {
   ASSERT_TRUE((*service)->RegisterRegion("austin", config).ok());
 
   const std::string json = (*service)->MetricsJson();
-  ExpectKeysInOrder(
-      json, {"service", "snapshot_epoch", "trace", "regions", "shards"});
+  ExpectKeysInOrder(json, {"service", "snapshot_epoch", "trace", "regions"});
   ExpectKeysInOrder(json, Keys(obs::TraceMetrics(nullptr)),
                     json.find("\"trace\":"));
   ExpectKeysInOrder(json, Keys(RegionMetrics({})),
@@ -246,26 +243,6 @@ TEST(MetricsSchemaTest, AuditCountersFlowIntoBothExpositions) {
   EXPECT_NE(text.find("geopriv_audit_drift_events_total 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE geopriv_audit_seconds gauge"),
-            std::string::npos);
-}
-
-TEST(MetricsPrometheusTest, ShardRoutingSurfacesInBothExpositions) {
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.num_shards = 4;
-  auto service = SanitizationService::Create(options);
-  ASSERT_TRUE(service.ok());
-
-  const std::string json = (*service)->MetricsJson();
-  ExpectKeysInOrder(json, Keys(ShardMetrics({})), json.find("\"shards\":"));
-
-  const std::string text = (*service)->MetricsText();
-  EXPECT_NE(text.find("geopriv_shard_count 4"), std::string::npos);
-  EXPECT_NE(
-      text.find("# TYPE geopriv_shard_requests_cumulative_total counter"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(text.find("# TYPE geopriv_shard_imbalance_ratio gauge"),
             std::string::npos);
 }
 
@@ -398,14 +375,6 @@ TEST(MetricsGoldenTest, ServiceCounters) {
   ExpectGolden("metrics.prom", metrics.ToPrometheus("geopriv_"));
 }
 
-TEST(MetricsGoldenTest, RoutingTable) {
-  ShardRouter router(4, 8);
-  for (const auto& [shard, n] : {std::pair{0, 5}, {2, 7}, {3, 1}}) {
-    for (int i = 0; i < n; ++i) router.RecordRequest(shard);
-  }
-  ExpectGolden("routing_table.json", router.RoutingTableJson());
-}
-
 TEST(MetricsGoldenTest, AuditReport) {
   audit::RegionAuditReport report;
   report.height = 2;
@@ -437,11 +406,10 @@ TEST(MetricsGoldenTest, AuditReport) {
   ExpectGolden("audit_report.prom", audit::ReportPrometheus(report));
 }
 
-TEST(MetricsGoldenTest, TracedShardedServiceWithTwoIdleRegions) {
+TEST(MetricsGoldenTest, TracedServiceWithTwoIdleRegions) {
   ServiceOptions options;
   options.num_workers = 1;
   options.trace.sample_one_in = 1;
-  options.num_shards = 3;
   auto service = SanitizationService::Create(options);
   ASSERT_TRUE(service.ok());
   RegionConfig config;

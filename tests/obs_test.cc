@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -248,12 +249,12 @@ TEST(SanitizationTraceTest, EndToEndSpansCoverThePipeline) {
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE((*service)->RegisterRegion("austin", SmallRegion()).ok());
 
-  std::vector<core::LatLon> queries;
+  std::vector<std::future<service::SanitizeResult>> replies;
   for (int i = 0; i < 16; ++i) {
-    queries.push_back({30.2672 + 0.0004 * (i % 5), -97.7431});
+    replies.push_back((*service)->SubmitFuture(
+        {"austin", {30.2672 + 0.0004 * (i % 5), -97.7431}, 0.0}));
   }
-  const auto results = (*service)->SanitizeBatch("austin", queries);
-  for (const auto& r : results) ASSERT_TRUE(r.status.ok());
+  for (auto& reply : replies) ASSERT_TRUE(reply.get().status.ok());
 
   const obs::TraceStats stats = (*service)->trace_recorder()->stats();
   EXPECT_EQ(stats.requests_started, 16u);
