@@ -430,6 +430,286 @@ TEST_P(MixedSenseLpTest, SimplexAgreesWithInteriorPointOnMixedRows) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MixedSenseLpTest, ::testing::Range(1, 31));
 
+// Nothing reduces a program before the simplex sees it, so fixed columns,
+// singleton rows and rows the fixed columns already decide all reach the
+// solver as they are; each shape below must come out right on its own.
+TEST(SimplexTest, FixedColumnCountsInTheObjective) {
+  // min 3x + y, x fixed at 2, x + y >= 5 -> y = 3, objective 6 + 3.
+  Model m;
+  const int x = m.AddVariable(2.0, 2.0, 3.0);
+  const int y = m.AddVariable(0.0, kInfinity, 1.0);
+  m.AddConstraint(ConstraintSense::kGreaterEqual, 5.0, {{x, 1.0}, {y, 1.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.x[x], 2.0, 1e-12);
+  EXPECT_NEAR(sol.x[y], 3.0, 1e-9);
+  EXPECT_NEAR(sol.objective, 9.0, 1e-9);
+  VerifyKkt(m, sol);
+}
+
+TEST(SimplexTest, SingletonRowsActAsBounds) {
+  // min -x s.t. x <= 7, x >= 2: x = 7, and only the binding row prices.
+  Model m;
+  const int x = m.AddVariable(0.0, kInfinity, -1.0);
+  m.AddConstraint(ConstraintSense::kLessEqual, 7.0, {{x, 1.0}});
+  m.AddConstraint(ConstraintSense::kGreaterEqual, 2.0, {{x, 1.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.x[x], 7.0, 1e-9);
+  EXPECT_NEAR(sol.objective, -7.0, 1e-9);
+  EXPECT_NEAR(sol.duals[0], -1.0, 1e-9);
+  EXPECT_NEAR(sol.duals[1], 0.0, 1e-9);
+  VerifyKkt(m, sol);
+}
+
+TEST(SimplexTest, NegativeSingletonRowBoundsAFreeColumnFromBelow) {
+  // min x, x free, -2x <= 6 (that is, x >= -3) -> x = -3.
+  Model m;
+  const int x = m.AddVariable(-kInfinity, kInfinity, 1.0);
+  m.AddConstraint(ConstraintSense::kLessEqual, 6.0, {{x, -2.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.x[x], -3.0, 1e-9);
+  EXPECT_NEAR(sol.objective, -3.0, 1e-9);
+  VerifyKkt(m, sol);
+}
+
+TEST(SimplexTest, EqualitySingletonRowPinsItsColumn) {
+  // min 5x + y s.t. 2x = 4, x + y >= 3 -> x = 2, y = 1, objective 11.
+  Model m;
+  const int x = m.AddVariable(0.0, kInfinity, 5.0);
+  const int y = m.AddVariable(0.0, kInfinity, 1.0);
+  m.AddConstraint(ConstraintSense::kEqual, 4.0, {{x, 2.0}});
+  m.AddConstraint(ConstraintSense::kGreaterEqual, 3.0, {{x, 1.0}, {y, 1.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.x[x], 2.0, 1e-9);
+  EXPECT_NEAR(sol.x[y], 1.0, 1e-9);
+  EXPECT_NEAR(sol.objective, 11.0, 1e-9);
+  VerifyKkt(m, sol);
+}
+
+TEST(SimplexTest, SingletonRowBeyondTheColumnBoxIsInfeasible) {
+  Model m;
+  const int x = m.AddVariable(0.0, 5.0, 1.0);
+  m.AddConstraint(ConstraintSense::kGreaterEqual, 9.0, {{x, 1.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
+}
+
+TEST(SimplexTest, EqualityAFixedColumnBreaksIsInfeasible) {
+  // x fixed at 1 leaves 2x = 2, never 5.
+  Model m;
+  const int x = m.AddVariable(1.0, 1.0, 0.0);
+  m.AddConstraint(ConstraintSense::kEqual, 5.0, {{x, 2.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
+}
+
+TEST(SimplexTest, RowsThatFixedColumnsSatisfyAreHarmless) {
+  // x fixed at 3 meets x <= 10 whatever else happens; min -y over
+  // y in [0, 1] with y <= 1 -> y = 1.
+  Model m;
+  const int x = m.AddVariable(3.0, 3.0, 0.0);
+  const int y = m.AddVariable(0.0, 1.0, -1.0);
+  m.AddConstraint(ConstraintSense::kLessEqual, 10.0, {{x, 1.0}});
+  m.AddConstraint(ConstraintSense::kLessEqual, 1.0, {{y, 1.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.x[x], 3.0, 1e-12);
+  EXPECT_NEAR(sol.x[y], 1.0, 1e-9);
+  EXPECT_NEAR(sol.objective, -1.0, 1e-9);
+  VerifyKkt(m, sol);
+}
+
+TEST(SimplexTest, RepeatedRowTermsAreSummed) {
+  // Model rows may name a column twice; the row means the sum, 3.5x <= 4.
+  Model m(ObjectiveSense::kMaximize);
+  const int x = m.AddVariable(0.0, kInfinity, 1.0);
+  m.AddConstraint(ConstraintSense::kLessEqual, 4.0, {{x, 1.0}, {x, 2.5}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.x[x], 4.0 / 3.5, 1e-9);
+  VerifyKkt(m, sol);
+}
+
+TEST(SimplexTest, ColumnBoundedOnlyAbove) {
+  // max 2x + y, x <= 3 with no lower bound, y in [0, 4], x + y <= 5:
+  // x rests at its upper bound, y = 2, objective 8.
+  Model m(ObjectiveSense::kMaximize);
+  const int x = m.AddVariable(-kInfinity, 3.0, 2.0);
+  const int y = m.AddVariable(0.0, 4.0, 1.0);
+  m.AddConstraint(ConstraintSense::kLessEqual, 5.0, {{x, 1.0}, {y, 1.0}});
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.x[x], 3.0, 1e-9);
+  EXPECT_NEAR(sol.x[y], 2.0, 1e-9);
+  EXPECT_NEAR(sol.objective, 8.0, 1e-9);
+  VerifyKkt(m, sol);
+  // Minimizing the same column instead runs it down without end.
+  Model down;
+  down.AddVariable(-kInfinity, 3.0, 1.0);
+  EXPECT_EQ(RevisedSimplex::Solve(down, DefaultOptions()).status,
+            SolveStatus::kUnbounded);
+}
+
+// `m` over its non-fixed columns, each fixed column's row activity moved
+// into the rhs; `offset` gets the fixed columns' share of the objective.
+Model SubstituteFixedColumns(const Model& m, double* offset) {
+  Model reduced(m.sense());
+  std::vector<int> index(m.num_variables(), -1);
+  *offset = 0.0;
+  for (int j = 0; j < m.num_variables(); ++j) {
+    if (m.lower_bound(j) == m.upper_bound(j)) {
+      *offset += m.objective_coefficient(j) * m.lower_bound(j);
+    } else {
+      index[j] = reduced.AddVariable(m.lower_bound(j), m.upper_bound(j),
+                                     m.objective_coefficient(j));
+    }
+  }
+  for (int i = 0; i < m.num_constraints(); ++i) {
+    double rhs = m.rhs(i);
+    std::vector<Coefficient> terms;
+    for (const Coefficient& t : m.row(i)) {
+      if (index[t.var] < 0) {
+        rhs -= t.value * m.lower_bound(t.var);
+      } else {
+        terms.push_back({index[t.var], t.value});
+      }
+    }
+    reduced.AddConstraint(m.constraint_sense(i), rhs, std::move(terms));
+  }
+  return reduced;
+}
+
+// Property test: on random programs where about a third of the columns are
+// fixed, the simplex keeps every fixed column at its value, satisfies KKT,
+// and matches the program with the fixed columns substituted out.
+class FixedColumnLpTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FixedColumnLpTest, SimplexMatchesTheSubstitutedProgram) {
+  rng::Rng rng(500 + GetParam());
+  const int n = 3 + static_cast<int>(rng.UniformInt(6));
+  Model m(rng.Uniform() < 0.5 ? ObjectiveSense::kMinimize
+                              : ObjectiveSense::kMaximize);
+  for (int j = 0; j < n; ++j) {
+    if (rng.Uniform() < 0.3) {
+      const double v = rng.Uniform(-2.0, 2.0);
+      m.AddVariable(v, v, rng.Uniform(-3.0, 3.0));
+    } else {
+      m.AddVariable(0.0, rng.Uniform(1.0, 5.0), rng.Uniform(-3.0, 3.0));
+    }
+  }
+  const int rows = 1 + static_cast<int>(rng.UniformInt(2 * n));
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Coefficient> terms;
+    for (int j = 0; j < n; ++j) {
+      if (rng.Uniform() < 0.5) terms.push_back({j, rng.Uniform(-2.0, 2.0)});
+    }
+    if (terms.empty()) {
+      terms.push_back({static_cast<int>(rng.UniformInt(n)), 1.0});
+    }
+    // A generous rhs keeps the program feasible despite the fixed columns.
+    m.AddConstraint(ConstraintSense::kLessEqual, rng.Uniform(8.0, 20.0),
+                    std::move(terms));
+  }
+  const LpSolution direct = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(direct.optimal()) << SolveStatusToString(direct.status);
+  VerifyKkt(m, direct);
+  for (int j = 0; j < n; ++j) {
+    if (m.lower_bound(j) == m.upper_bound(j)) {
+      EXPECT_NEAR(direct.x[j], m.lower_bound(j), 1e-9) << "var " << j;
+    }
+  }
+  double offset = 0.0;
+  const Model reduced = SubstituteFixedColumns(m, &offset);
+  const LpSolution substituted = RevisedSimplex::Solve(reduced,
+                                                       DefaultOptions());
+  ASSERT_TRUE(substituted.optimal())
+      << SolveStatusToString(substituted.status);
+  VerifyKkt(reduced, substituted);
+  EXPECT_NEAR(direct.objective, substituted.objective + offset,
+              1e-6 * (1.0 + std::abs(direct.objective)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FixedColumnLpTest, ::testing::Range(1, 31));
+
+// Property test over every unfixed bound kind at once: boxes (some below
+// zero), lower-only, upper-only and free columns under mixed-sense rows
+// built around a known feasible point. Each half-bounded column's cost
+// pulls it toward its finite bound and free columns cost nothing, so the
+// program is bounded; the simplex must satisfy KKT and match the interior
+// point.
+class BoundKindLpTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BoundKindLpTest, SimplexAgreesWithInteriorPoint) {
+  rng::Rng rng(2000 + GetParam());
+  const int n = 3 + static_cast<int>(rng.UniformInt(6));
+  const int rows = 1 + static_cast<int>(rng.UniformInt(2 * n));
+  const bool minimize = rng.Uniform() < 0.5;
+  // Costs are drawn for the minimization; a maximization negates them.
+  const double sense = minimize ? 1.0 : -1.0;
+  Model m(minimize ? ObjectiveSense::kMinimize : ObjectiveSense::kMaximize);
+  std::vector<double> x0(n);
+  for (int j = 0; j < n; ++j) {
+    const double anchor = rng.Uniform(-3.0, 3.0);
+    const double width = rng.Uniform(0.5, 4.0);
+    switch (static_cast<int>(rng.UniformInt(4))) {
+      case 0:  // box, possibly below zero
+        m.AddVariable(anchor, anchor + width,
+                      sense * rng.Uniform(-3.0, 3.0));
+        x0[j] = anchor + rng.Uniform(0.2, 0.8) * width;
+        break;
+      case 1:  // lower bound only
+        m.AddVariable(anchor, kInfinity, sense * rng.Uniform(0.0, 3.0));
+        x0[j] = anchor + rng.Uniform(0.0, 2.0);
+        break;
+      case 2:  // upper bound only
+        m.AddVariable(-kInfinity, anchor, sense * rng.Uniform(-3.0, 0.0));
+        x0[j] = anchor - rng.Uniform(0.0, 2.0);
+        break;
+      default:  // free
+        m.AddVariable(-kInfinity, kInfinity, 0.0);
+        x0[j] = anchor;
+        break;
+    }
+  }
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Coefficient> terms;
+    double activity = 0.0;
+    for (int j = 0; j < n; ++j) {
+      if (rng.Uniform() < 0.6) {
+        const double a = rng.Uniform(-2.0, 2.0);
+        terms.push_back({j, a});
+        activity += a * x0[j];
+      }
+    }
+    if (terms.empty()) {
+      terms.push_back({0, 1.0});
+      activity = x0[0];
+    }
+    const double u = rng.Uniform();
+    if (u < 0.4) {
+      m.AddConstraint(ConstraintSense::kLessEqual,
+                      activity + rng.Uniform(0.0, 2.0), std::move(terms));
+    } else if (u < 0.8) {
+      m.AddConstraint(ConstraintSense::kGreaterEqual,
+                      activity - rng.Uniform(0.0, 2.0), std::move(terms));
+    } else {
+      m.AddConstraint(ConstraintSense::kEqual, activity, std::move(terms));
+    }
+  }
+  const LpSolution simplex = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(simplex.optimal()) << SolveStatusToString(simplex.status);
+  VerifyKkt(m, simplex);
+  const LpSolution ipm = InteriorPoint::Solve(m, DefaultOptions());
+  ASSERT_TRUE(ipm.optimal()) << SolveStatusToString(ipm.status);
+  EXPECT_NEAR(simplex.objective, ipm.objective,
+              1e-4 * (1.0 + std::abs(simplex.objective)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BoundKindLpTest, ::testing::Range(1, 21));
+
 TEST(ModelTest, ValidateAcceptsWellFormed) {
   Model m;
   const int x = m.AddVariable(0, 1, 1.0);
