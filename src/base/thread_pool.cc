@@ -29,7 +29,7 @@ void ThreadPool::WorkerLoop(int worker_id) {
   Task task;
   while (queue_.Pop(&task)) {
     task(worker_id);
-    task = nullptr;  // release captured state before blocking on the queue
+    task = Task();  // release captured state before waiting on the queue
   }
 }
 

@@ -107,6 +107,11 @@ class LocationSanitizer {
                                         rng::Rng& rng) const;
   StatusOr<LatLon> SanitizeLatLonOrStatus(double lat, double lon,
                                           rng::Rng& rng) const;
+  // The same over a caller-held serving-plan pin, which the caller keeps
+  // across calls from one thread (see MultiStepMechanism::PlanPin).
+  StatusOr<LatLon> SanitizeLatLonOrStatus(
+      double lat, double lon, rng::Rng& rng,
+      MultiStepMechanism::PlanPin& pin) const;
 
   // Pre-solves the LPs of the `k` internal index nodes with the largest
   // prior mass (root-down), so first traffic hits a warm cache. Safe to

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
@@ -483,6 +485,92 @@ TEST(SanitizationServiceTest, ShutdownMidStreamStopsARetryingProducer) {
   const MetricsSnapshot m = service->metrics().Snapshot();
   EXPECT_EQ(m.requests_total, accepted);
   EXPECT_EQ(m.requests_rejected, full + 1);
+}
+
+TEST(SanitizationServiceTest, DrainReturnsAfterEveryZeroCrossing) {
+  // The in-flight count is split (admissions on the submitting side,
+  // completions per worker) and Drain() is woken only while it waits:
+  // a lost wakeup at any of these zero crossings leaves Drain() asleep.
+  auto service = MakeService(2);
+  ASSERT_TRUE(service->RegisterRegion("austin", AustinConfig()).ok());
+  std::atomic<int> completed{0};
+  for (int round = 0; round < 20000; ++round) {
+    ASSERT_TRUE(service
+                    ->SubmitAsync({"austin", {30.2672, -97.7431}, 0.0},
+                                  [&completed](const SanitizeResult&) {
+                                    completed.fetch_add(1);
+                                  })
+                    .ok());
+    auto drained =
+        std::async(std::launch::async, [&service] { service->Drain(); });
+    if (drained.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "Drain() still waiting after 5 s in round " << round;
+      std::fflush(stdout);
+      std::_Exit(1);  // the future's destructor would wait forever
+    }
+    ASSERT_EQ(completed.load(), round + 1) << "Drain() returned early";
+  }
+}
+
+TEST(SanitizationServiceTest, WorkersNeverServeAnUnregisteredIncarnation) {
+  // Workers pin the registry snapshot and the serving plan across
+  // requests. Unregistering must reach both workers' next requests, and a
+  // re-registration under the same id must never be answered from the old
+  // incarnation's plan.
+  auto service = MakeService(2);
+  ASSERT_TRUE(service->RegisterRegion("austin", AustinConfig()).ok());
+  const auto queries = DowntownQueries(64);
+  std::set<int> workers_seen;
+  for (int batch = 0; batch < 200 && workers_seen.size() < 2; ++batch) {
+    for (const SanitizeResult& r : SanitizeAll(*service, "austin", queries)) {
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_TRUE(InRegion(r.reported));
+      workers_seen.insert(r.worker_id);
+    }
+  }
+  ASSERT_EQ(workers_seen.size(), 2u) << "one worker served every request";
+
+  ASSERT_TRUE(service->UnregisterRegion("austin").ok());
+  workers_seen.clear();
+  for (int batch = 0; batch < 4; ++batch) {
+    for (const SanitizeResult& r : SanitizeAll(*service, "austin", queries)) {
+      EXPECT_EQ(r.status.code(), StatusCode::kNotFound) << r.worker_id;
+      workers_seen.insert(r.worker_id);
+    }
+  }
+
+  // The same id over a box 1,100 km west: a reply from the old
+  // incarnation would land in Austin.
+  RegionConfig vegas = AustinConfig();
+  vegas.min_lat = 36.0;
+  vegas.min_lon = -115.35;
+  vegas.max_lat = 36.3;
+  vegas.max_lon = -115.0;
+  ASSERT_TRUE(service->RegisterRegion("austin", vegas).ok());
+  std::vector<core::LatLon> in_vegas;
+  for (int i = 0; i < 64; ++i) {
+    in_vegas.push_back({36.1 + 0.001 * (i % 17), -115.2 + 0.001 * (i % 13)});
+  }
+  workers_seen.clear();
+  for (int batch = 0; batch < 200 && workers_seen.size() < 2; ++batch) {
+    // Austin queries too: they clamp into the new box.
+    const std::vector<core::LatLon>* const lists[] = {&in_vegas, &queries};
+    for (const std::vector<core::LatLon>* locations : lists) {
+      for (const SanitizeResult& r :
+           SanitizeAll(*service, "austin", *locations)) {
+        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+        EXPECT_TRUE(r.reported.lat >= vegas.min_lat - 1e-6 &&
+                    r.reported.lat <= vegas.max_lat + 1e-6 &&
+                    r.reported.lon >= vegas.min_lon - 1e-6 &&
+                    r.reported.lon <= vegas.max_lon + 1e-6)
+            << "worker " << r.worker_id << " replied " << r.reported.lat
+            << "," << r.reported.lon << " from the old incarnation";
+        workers_seen.insert(r.worker_id);
+      }
+    }
+  }
+  EXPECT_EQ(workers_seen.size(), 2u) << "one worker served every request";
 }
 
 TEST(SanitizationServiceTest, DeadlineOverrunMidWalkIsServedAndCounted) {
