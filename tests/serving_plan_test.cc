@@ -1,12 +1,14 @@
 // Serving-plan tests for the MSM warm path: bit-identity between the
 // pinned-plan walk and the legacy cache walk, zero cache traffic on fully
-// warm walks, generation-driven rebuilds across eviction/Clear, cold and
+// warm walks, plan pins keyed on the mechanism's id rather than its
+// address, generation-driven rebuilds across eviction/Clear, cold and
 // warm reproducibility, the budget sweep that ends a fall-through walk,
 // and TSan stress for plans invalidated mid-walk. Run under TSan via
 //   cmake -B build-tsan -DGEOPRIV_SANITIZE=thread
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -135,6 +137,56 @@ TEST(ServingPlanTest, FullyWarmWalkTakesNoCacheLookups) {
   // index height when the allocator stops splitting eps).
   EXPECT_EQ(msm->stats().plan_levels,
             300 * static_cast<int64_t>(msm->height()));
+}
+
+// A PlanPin is keyed on its mechanism's never-reused id, not its address.
+// A mechanism destroyed and rebuilt in place, over another box but with
+// the same cache generation, must not be walked through the plan the pin
+// still holds from its predecessor.
+TEST(ServingPlanTest, PlanPinReloadsForAMechanismRebuiltAtTheSameAddress) {
+  const auto emplace = [](std::optional<MultiStepMechanism>& slot, BBox box) {
+    auto grid = spatial::HierarchicalGrid::Create(box, 3, 3);
+    GEOPRIV_CHECK_OK(grid.status());
+    rng::Rng rng(5);
+    std::vector<Point> pts;
+    for (int i = 0; i < 2000; ++i) {
+      pts.push_back({rng.Uniform(box.min_x, box.max_x),
+                     rng.Uniform(box.min_y, box.max_y)});
+    }
+    auto prior = prior::Prior::FromPoints(box, 64, pts);
+    GEOPRIV_CHECK_OK(prior.status());
+    auto msm = MultiStepMechanism::Create(
+        0.5,
+        std::make_shared<spatial::HierarchicalGrid>(std::move(grid).value()),
+        std::make_shared<prior::Prior>(std::move(prior).value()), {});
+    GEOPRIV_CHECK_OK(msm.status());
+    slot.emplace(std::move(msm).value());
+    GEOPRIV_CHECK_OK(slot->PrewarmTopNodes(1000).status());
+  };
+
+  std::optional<MultiStepMechanism> msm;
+  emplace(msm, kDomain);
+  const MultiStepMechanism* const first = &*msm;
+  MultiStepMechanism::PlanPin pin;
+  rng::Rng rng(7);
+  auto before = msm->ReportOrStatus(kDomain.Center(), rng, pin);
+  ASSERT_TRUE(before.ok());
+  EXPECT_TRUE(kDomain.Contains(*before));
+  const uint64_t generation = msm->cache().generation();
+
+  constexpr BBox kElsewhere{100.0, 100.0, 120.0, 120.0};
+  msm.reset();
+  emplace(msm, kElsewhere);
+  // Everything an address-keyed pin would compare is unchanged.
+  ASSERT_EQ(&*msm, first);
+  ASSERT_EQ(msm->cache().generation(), generation);
+  for (int i = 0; i < 50; ++i) {
+    auto after = msm->ReportOrStatus(kElsewhere.Center(), rng, pin);
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(kElsewhere.Contains(*after))
+        << "walked the replaced mechanism's plan: (" << after->x << ","
+        << after->y << ")";
+  }
 }
 
 TEST(ServingPlanTest, NodeCapFallsThroughBelowTheCappedSubtree) {
