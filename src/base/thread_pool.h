@@ -1,6 +1,6 @@
 // Fixed-size worker thread pool over a bounded MPMC task queue — the
-// execution substrate of the sanitization service (src/service/), of
-// ParallelChunks and of the MSM prewarm. Two deliberate departures from a
+// execution substrate of the sanitization service (src/service/) and of
+// the MSM prewarm's cross-node fan-out. Two deliberate departures from a
 // generic pool:
 //
 //  * tasks receive the id of the worker running them, so callers can keep

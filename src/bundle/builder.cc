@@ -205,14 +205,13 @@ StatusOr<BuildBundleResult> BuildRegionBundle(const RegionSpec& spec,
   if (options.lp_time_limit_seconds > 0.0) {
     builder.SetLpTimeLimitSeconds(options.lp_time_limit_seconds);
   }
-  if (options.pool != nullptr) builder.SetConstructionPool(options.pool);
   GEOPRIV_ASSIGN_OR_RETURN(core::LocationSanitizer sanitizer,
                            builder.Build());
 
   const int k = options.prewarm_nodes > 0 ? options.prewarm_nodes
                                           : std::numeric_limits<int>::max();
   GEOPRIV_RETURN_IF_ERROR(
-      sanitizer.PrewarmTopNodes(k, options.pool).status());
+      sanitizer.PrewarmTopNodes(k).status());
 
   GEOPRIV_ASSIGN_OR_RETURN(BuildBundleResult result,
                            WriteRegionBundle(sanitizer, spec, path));

@@ -1,5 +1,5 @@
 // Build tier of the build/serve split: constructs a region (prior, index,
-// budget split), pre-solves its per-node LPs in parallel, and serializes
+// budget split), pre-solves its per-node LPs, and serializes
 // everything — including the solved mechanisms — into a region
 // bundle. A serving process then mmaps the file and registers the region
 // in milliseconds with zero LP solves (loader.h), instead of re-paying
@@ -15,10 +15,6 @@
 #include "base/status.h"
 #include "core/location_sanitizer.h"
 #include "geo/distance.h"
-
-namespace geopriv {
-class ThreadPool;
-}
 
 namespace geopriv::bundle {
 
@@ -42,8 +38,6 @@ struct BuildBundleOptions {
   // serialized — a node left cold is rebuilt deterministically by the
   // serving tier on first touch.
   int prewarm_nodes = 0;
-  // Worker pool for parallel LP construction and prewarming (not owned).
-  ThreadPool* pool = nullptr;
   // Wall-clock cap per node LP solve (0 = unlimited).
   double lp_time_limit_seconds = 0.0;
 };

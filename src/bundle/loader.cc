@@ -71,7 +71,6 @@ StatusOr<LoadedRegion> LoadRegion(const RegionBundleView& view,
   msm_options.budget.rho = config.rho;
   msm_options.metric = static_cast<geo::UtilityMetric>(config.metric);
   msm_options.cache_byte_budget = options.cache_byte_budget;
-  msm_options.opt.pricing_pool = options.construction_pool;
   if (options.lp_time_limit_seconds > 0.0) {
     msm_options.opt.solver.time_limit_seconds =
         options.lp_time_limit_seconds;

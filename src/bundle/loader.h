@@ -17,10 +17,6 @@
 #include "bundle/region_bundle.h"
 #include "core/location_sanitizer.h"
 
-namespace geopriv {
-class ThreadPool;
-}
-
 namespace geopriv::bundle {
 
 struct RegionLoadOptions {
@@ -29,7 +25,6 @@ struct RegionLoadOptions {
   uint64_t seed = 0x5EED5EED5EEDull;
   size_t cache_byte_budget = 0;  // 0 = unbounded
   double lp_time_limit_seconds = 0.0;  // for cold-node rebuilds
-  ThreadPool* construction_pool = nullptr;  // for cold-node rebuilds
 };
 
 struct LoadedRegion {

@@ -70,8 +70,7 @@ LocationSanitizer::Builder& LocationSanitizer::Builder::SetCacheByteBudget(
 }
 
 LocationSanitizer::Builder& LocationSanitizer::Builder::SetConstructionPool(
-    ThreadPool* pool) {
-  construction_pool_ = pool;
+    ThreadPool* /*pool*/) {
   return *this;
 }
 
@@ -126,7 +125,6 @@ StatusOr<LocationSanitizer> LocationSanitizer::Builder::Build() {
   options.budget.rho = rho_;
   options.metric = metric_;
   options.cache_byte_budget = cache_byte_budget_;
-  options.opt.pricing_pool = construction_pool_;
   if (lp_time_limit_seconds_ > 0.0) {
     options.opt.solver.time_limit_seconds = lp_time_limit_seconds_;
   }

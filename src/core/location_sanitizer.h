@@ -61,10 +61,10 @@ class LocationSanitizer {
     // node cache evicts least-recently-used unpinned entries (in-use
     // mechanisms are never freed under a reader). 0 = unbounded.
     Builder& SetCacheByteBudget(size_t bytes);
-    // Worker pool for parallel LP construction (pricing scans, cost
-    // tables, row samplers). Not owned; must outlive the sanitizer.
-    // Builds never block on the pool, so it is safe to share the serving
-    // pool. Null (the default) keeps construction serial.
+    // Does nothing: each node LP solves on the thread that needs it, and
+    // only PrewarmTopNodes takes a pool. Kept only for its one caller,
+    // bench/suite/lifecycle.cc:208; it goes with the next change to the
+    // benchmark.
     Builder& SetConstructionPool(ThreadPool* pool);
 
     StatusOr<LocationSanitizer> Build();
@@ -81,7 +81,6 @@ class LocationSanitizer {
     geo::UtilityMetric metric_ = geo::UtilityMetric::kEuclidean;
     double lp_time_limit_seconds_ = 0.0;  // 0 = unlimited
     size_t cache_byte_budget_ = 0;        // 0 = unbounded
-    ThreadPool* construction_pool_ = nullptr;
   };
 
   // Sanitizes one coordinate pair. Coordinates outside the configured
@@ -116,13 +115,9 @@ class LocationSanitizer {
   // Pre-solves the LPs of the `k` internal index nodes with the largest
   // prior mass (root-down), so first traffic hits a warm cache. Safe to
   // call concurrently with sanitize traffic. Returns the number of nodes
-  // now resident.
-  StatusOr<int> PrewarmTopNodes(int k) const {
-    return msm_->PrewarmTopNodes(k);
-  }
-  // Parallel variant: independent frontier nodes (siblings, cousins)
-  // build concurrently on `pool`, ancestors always before descendants.
-  StatusOr<int> PrewarmTopNodes(int k, ThreadPool* pool) const {
+  // now resident. With a pool, independent frontier nodes (siblings,
+  // cousins) build concurrently, ancestors always before descendants.
+  StatusOr<int> PrewarmTopNodes(int k, ThreadPool* pool = nullptr) const {
     return msm_->PrewarmTopNodes(k, pool);
   }
 

@@ -219,10 +219,6 @@ MultiStepMechanism::NodeMechanism(spatial::NodeIndex node, int level,
       node, [&] { return BuildNodeMechanism(node, level); }, cache_hit);
 }
 
-StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k) const {
-  return PrewarmTopNodes(k, nullptr);
-}
-
 StatusOr<int> MultiStepMechanism::PrewarmTopNodes(int k,
                                                   ThreadPool* pool) const {
   if (k <= 0) return 0;

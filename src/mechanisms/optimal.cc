@@ -1,7 +1,6 @@
 #include "mechanisms/optimal.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <tuple>
@@ -9,9 +8,7 @@
 #include <utility>
 
 #include "base/check.h"
-#include "base/parallel_for.h"
 #include "base/stopwatch.h"
-#include "base/thread_pool.h"
 #include "lp/interior_point.h"
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
@@ -53,14 +50,6 @@ Status MapSolverFailure(lp::SolveStatus status) {
   }
 }
 
-// Contiguous sub-range c (of `chunks`) of [0, items).
-std::pair<int, int> ChunkRange(int items, int chunks, int c) {
-  const int base = items / chunks;
-  const int rem = items % chunks;
-  const int lo = c * base + std::min(c, rem);
-  return {lo, lo + base + (c < rem ? 1 : 0)};
-}
-
 }  // namespace
 
 StatusOr<OptimalMechanism> OptimalMechanism::Create(
@@ -95,7 +84,7 @@ StatusOr<OptimalMechanism> OptimalMechanism::Create(
     mech.k_owned_ = {1.0};
     mech.k_ = mech.k_owned_;
     mech.stats_.objective = 0.0;
-    mech.BuildRowSamplers(options);
+    mech.BuildRowSamplers();
     return mech;
   }
   Status solve_status;
@@ -109,7 +98,7 @@ StatusOr<OptimalMechanism> OptimalMechanism::Create(
       break;
   }
   GEOPRIV_RETURN_IF_ERROR(solve_status);
-  mech.BuildRowSamplers(options);
+  mech.BuildRowSamplers();
   return mech;
 }
 
@@ -171,24 +160,15 @@ void OptimalMechanism::MoveFrom(OptimalMechanism&& other) noexcept {
   stats_ = other.stats_;
 }
 
-void OptimalMechanism::BuildRowSamplers(
-    const OptimalMechanismOptions& options) {
+void OptimalMechanism::BuildRowSamplers() {
   const int n = num_locations();
-  const int parallelism = EffectiveParallelism(options.pricing_pool);
-  // Each chunk builds the alias tables of a contiguous row range; rows are
-  // independent and each writes only its own slot.
-  const int chunks =
-      options.pricing_pool != nullptr ? std::min(n, parallelism * 4) : 1;
-  ParallelChunks(options.pricing_pool, parallelism, chunks, [&](int c) {
-    const auto [lo, hi] = ChunkRange(n, chunks, c);
-    for (int x = lo; x < hi; ++x) {
-      std::vector<double> row(k_.begin() + static_cast<size_t>(x) * n,
-                              k_.begin() + static_cast<size_t>(x + 1) * n);
-      auto sampler = rng::AliasSampler::Create(row);
-      GEOPRIV_CHECK_MSG(sampler.ok(), "row sampler construction failed");
-      row_samplers_[x] = std::move(sampler).value();
-    }
-  });
+  for (int x = 0; x < n; ++x) {
+    std::vector<double> row(k_.begin() + static_cast<size_t>(x) * n,
+                            k_.begin() + static_cast<size_t>(x + 1) * n);
+    auto sampler = rng::AliasSampler::Create(row);
+    GEOPRIV_CHECK_MSG(sampler.ok(), "row sampler construction failed");
+    row_samplers_[x] = std::move(sampler).value();
+  }
 }
 
 std::vector<int> OptimalMechanism::SeedPairs(
@@ -217,31 +197,18 @@ Status OptimalMechanism::SolveColumnGeneration(
   Stopwatch stopwatch;
   const int n = num_locations();
   const size_t nn = static_cast<size_t>(n) * n;
-  ThreadPool* const pool = options.pricing_pool;
-  const int parallelism = EffectiveParallelism(pool);
-  stats_.pricing_threads_used = parallelism;
-  // Slice count for the fanned-out stages: a few chunks per thread evens
-  // out load imbalance without drowning small instances in dispatch.
-  const int num_chunks =
-      pool != nullptr ? std::min(n, parallelism * 4) : 1;
 
   // Precomputed tables: cost c[x*n+z] = Pi_x * d_Q(x,z) and the GeoInd
-  // bound expd[x*n+x'] = e^{eps d(x,x')}. Chunked by x row — every element
-  // is computed exactly once from immutable inputs, so the parallel tables
-  // match the serial ones bit for bit.
+  // bound expd[x*n+x'] = e^{eps d(x,x')}.
   std::vector<double> cost(nn), expd(nn);
-  ParallelChunks(pool, parallelism, num_chunks, [&](int c) {
-    const auto [lo, hi] = ChunkRange(n, num_chunks, c);
-    for (int x = lo; x < hi; ++x) {
-      for (int z = 0; z < n; ++z) {
-        cost[static_cast<size_t>(x) * n + z] =
-            prior_[x] *
-            geo::UtilityLoss(metric_, locations_[x], locations_[z]);
-        expd[static_cast<size_t>(x) * n + z] =
-            std::exp(eps_ * geo::Euclidean(locations_[x], locations_[z]));
-      }
+  for (int x = 0; x < n; ++x) {
+    for (int z = 0; z < n; ++z) {
+      cost[static_cast<size_t>(x) * n + z] =
+          prior_[x] * geo::UtilityLoss(metric_, locations_[x], locations_[z]);
+      expd[static_cast<size_t>(x) * n + z] =
+          std::exp(eps_ * geo::Euclidean(locations_[x], locations_[z]));
     }
-  });
+  }
 
   // Dual model: maximize sum_x y_x subject to, for every matrix entry
   // (x,z), y_x + (generated w terms) <= c_{xz}. Every lazily generated dual
@@ -322,60 +289,37 @@ Status OptimalMechanism::SolveColumnGeneration(
     stats_.refactor_seconds += sol.refactor_seconds;
 
     // The duals of the restricted dual are the optimal primal K of the
-    // restricted primal. Price all not-yet-generated GeoInd constraints.
-    // The O(n^3) scan is partitioned into contiguous z slices: each chunk
-    // appends its finds to a private list in (z, x, xp) order, and the
-    // per-chunk lists concatenate in chunk order below — exactly the order
-    // the serial z-outer loop produces, so parallel and serial runs
-    // generate identical column sequences. `generated` is read-only here.
+    // restricted primal. Price all not-yet-generated GeoInd constraints in
+    // (z, x, xp) order, which fixes the sequence of generated columns.
     Stopwatch pricing_watch;
     const std::vector<double>& k = sol.duals;
-    std::vector<std::vector<Violation>> slice_violations(num_chunks);
-    std::atomic<bool> deadline_hit{false};
-    ParallelChunks(pool, parallelism, num_chunks, [&](int c) {
-      const auto [z_lo, z_hi] = ChunkRange(n, num_chunks, c);
-      std::vector<Violation>& local = slice_violations[c];
-      for (int z = z_lo; z < z_hi; ++z) {
-        // Deadline check per z slice: a multi-second scan must not blow
-        // past the budget just because the simplex happened to finish
-        // under it. One flag stops every chunk promptly.
-        if (deadline_hit.load(std::memory_order_relaxed)) return;
-        if (std::isfinite(time_limit) &&
-            stopwatch.ElapsedSeconds() > time_limit) {
-          deadline_hit.store(true, std::memory_order_relaxed);
-          return;
-        }
-        for (int x = 0; x < n; ++x) {
-          const double kxz = k[row_of(x, z)];
-          for (int xp = 0; xp < n; ++xp) {
-            if (xp == x) continue;
-            // Row-scaled residual (constraint divided by its largest
-            // coefficient e^{eps d}); see MaxGeoIndViolation for why.
-            const double v = kxz / expd[static_cast<size_t>(x) * n + xp] -
-                             k[row_of(xp, z)];
-            if (v > kViolationTolerance) {
-              const int64_t key =
-                  (static_cast<int64_t>(x) * n + xp) * n + z;
-              if (generated.contains(key)) continue;
-              local.push_back({v, x, xp, z});
-            }
+    std::vector<Violation> violations;
+    for (int z = 0; z < n; ++z) {
+      // Deadline check per z slice: a multi-second scan must not blow past
+      // the budget just because the simplex happened to finish under it.
+      if (std::isfinite(time_limit) &&
+          stopwatch.ElapsedSeconds() > time_limit) {
+        return Status::DeadlineExceeded(
+            "column generation hit time limit during pricing");
+      }
+      for (int x = 0; x < n; ++x) {
+        const double kxz = k[row_of(x, z)];
+        for (int xp = 0; xp < n; ++xp) {
+          if (xp == x) continue;
+          // Row-scaled residual (constraint divided by its largest
+          // coefficient e^{eps d}); see MaxGeoIndViolation for why.
+          const double v =
+              kxz / expd[static_cast<size_t>(x) * n + xp] - k[row_of(xp, z)];
+          if (v > kViolationTolerance) {
+            const int64_t key = (static_cast<int64_t>(x) * n + xp) * n + z;
+            if (generated.contains(key)) continue;
+            violations.push_back({v, x, xp, z});
           }
         }
       }
-    });
+    }
     stats_.pricing_seconds += pricing_watch.ElapsedSeconds();
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return Status::DeadlineExceeded(
-          "column generation hit time limit during pricing");
-    }
-    size_t found = 0;
-    for (const auto& local : slice_violations) found += local.size();
-    std::vector<Violation> violations;
-    violations.reserve(found);
-    for (const auto& local : slice_violations) {
-      violations.insert(violations.end(), local.begin(), local.end());
-    }
-    stats_.violations_found += static_cast<int64_t>(found);
+    stats_.violations_found += static_cast<int64_t>(violations.size());
     if (violations.empty()) {
       // All n^3 constraints hold: k is feasible and (by LP duality)
       // optimal for the complete program.
@@ -389,8 +333,7 @@ Status OptimalMechanism::SolveColumnGeneration(
         std::min<int>(per_round, static_cast<int>(violations.size()));
     if (take < static_cast<int>(violations.size())) {
       // Stable (x, xp, z) tie-break: amounts can tie exactly (symmetric
-      // instances), and the columns taken must not depend on how the
-      // pricing happened to be sliced.
+      // instances), and partial_sort alone does not fix their order.
       std::partial_sort(violations.begin(), violations.begin() + take,
                         violations.end(),
                         [](const Violation& a, const Violation& b) {

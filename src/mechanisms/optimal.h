@@ -31,10 +31,6 @@
 #include "mechanisms/mechanism.h"
 #include "rng/alias_sampler.h"
 
-namespace geopriv {
-class ThreadPool;
-}
-
 namespace geopriv::mechanisms {
 
 enum class OptAlgorithm {
@@ -50,17 +46,6 @@ struct OptimalMechanismOptions {
   // (0 = all violated constraints, the fastest setting in practice: it
   // converges in ~10 rounds with far fewer total simplex pivots).
   int columns_per_round = 0;
-  // Parallel construction. When set, the cost/exp-distance tables, the
-  // O(n^3) pricing scan (partitioned by z-slice) and the row samplers fan
-  // out across this pool, with the calling thread participating; the
-  // simplex itself runs serially on the calling thread. Construction never
-  // blocks on the pool (a busy or shut-down pool just lowers the effective
-  // parallelism, so it is safe to Create() from one of the pool's own
-  // workers), and a parallel run is bit-identical to a serial one:
-  // pricing slices merge in z order and every table element is computed
-  // once from the same inputs. Construction uses every pool worker plus
-  // the calling thread. Not owned; must outlive the Create() call.
-  ThreadPool* pricing_pool = nullptr;
 };
 
 // Column generation treats a GeoInd constraint as violated when its
@@ -77,10 +62,9 @@ struct OptSolveStats {
   double solve_seconds = 0.0;
   double objective = 0.0;    // expected utility loss under the prior
   // Wall-clock split of solve_seconds between the two phases of column
-  // generation, for the pricing-vs-simplex balance the parallel pipeline
-  // is tuned against. pricing_seconds is the scan for violated GeoInd
-  // constraints; the simplex's own Devex pricing counts in
-  // simplex_seconds.
+  // generation, both run on the calling thread. pricing_seconds is the
+  // scan for violated GeoInd constraints; the simplex's own Devex pricing
+  // counts in simplex_seconds.
   double pricing_seconds = 0.0;
   double simplex_seconds = 0.0;
   // Basis refactorizations inside simplex_seconds and their wall-clock
@@ -91,8 +75,6 @@ struct OptSolveStats {
   // of them entered the dual as a column unless columns_per_round capped
   // the round).
   int64_t violations_found = 0;
-  // Effective construction parallelism (1 without a pricing pool).
-  int pricing_threads_used = 1;
 };
 
 // A solved mechanism's complete state as flat tables — what a bundle
@@ -137,7 +119,9 @@ class OptimalMechanism final : public Mechanism {
   // coincide, as in the paper); `prior`: n nonnegative masses (normalized
   // internally). Fails with kDeadlineExceeded/kResourceExhausted when the
   // solver hits its limits, and with kInternal when the solution has an
-  // all-zero row (no distribution to serve for that location).
+  // all-zero row (no distribution to serve for that location). The whole
+  // solve runs on the calling thread; callers parallelize across
+  // instances (MultiStepMechanism::PrewarmTopNodes), not within one.
   //
   // Column generation only: the first round starts from `start` when its
   // signature matches this instance, and cold otherwise; `first_round`,
@@ -254,7 +238,7 @@ class OptimalMechanism final : public Mechanism {
                                OptTemplate* first_round);
   Status SolveFullPrimal(const OptimalMechanismOptions& options);
   Status FinalizeMatrix(std::vector<double> raw);
-  void BuildRowSamplers(const OptimalMechanismOptions& options);
+  void BuildRowSamplers();
 
   void CopyFrom(const OptimalMechanism& other);
   void MoveFrom(OptimalMechanism&& other) noexcept;

@@ -181,10 +181,7 @@ Status SanitizationService::RegisterRegion(const std::string& region_id,
         .SetPriorGranularity(config.prior_granularity)
         .SetUtilityMetric(config.metric)
         .SetSeed(options_.seed)
-        .SetCacheByteBudget(config.cache_byte_budget)
-        // LP construction fans out across the serving pool. Builds never
-        // block on the pool, so a fully busy pool just means serial builds.
-        .SetConstructionPool(pool_.get());
+        .SetCacheByteBudget(config.cache_byte_budget);
     if (!config.checkins.empty()) builder.AddCheckinsLatLon(config.checkins);
     if (config.lp_time_limit_seconds > 0.0) {
       builder.SetLpTimeLimitSeconds(config.lp_time_limit_seconds);
@@ -221,7 +218,6 @@ Status SanitizationService::LoadRegionFromBundle(
     load_options.seed = options_.seed;
     load_options.cache_byte_budget = options.cache_byte_budget;
     load_options.lp_time_limit_seconds = options.lp_time_limit_seconds;
-    load_options.construction_pool = pool_.get();
     GEOPRIV_ASSIGN_OR_RETURN(bundle::LoadedRegion loaded,
                              bundle::LoadRegion(view, load_options));
     GEOPRIV_ASSIGN_OR_RETURN(std::shared_ptr<Region> region,

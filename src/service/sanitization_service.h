@@ -24,10 +24,13 @@
 //    cross-thread RNG locking;
 //  * graceful degradation: when a request's deadline expires in the queue,
 //    or the MSM path fails (e.g. an LP time limit), the worker falls back
-//    to planar Laplace remapped onto the region's leaf grid. The fallback
-//    spends the same total budget eps in one shot, so the reply still
-//    satisfies eps-GeoInd — it only costs utility, never privacy — and it
-//    is always counted in the metrics, never silent;
+//    to planar Laplace remapped onto the region's leaf grid, spending the
+//    whole budget eps in one draw, and counts it in the metrics, never
+//    silently. A deadline fallback, taken before any walk, is
+//    eps-GeoInd by planar Laplace plus post-processing. A fallback after
+//    the walk has drawn at some level spends eps again on top of what the
+//    path spent, and neither it nor the composed walk is proven
+//    eps-GeoInd (DESIGN.md §8, "Privacy argument");
 //  * a service::Metrics registry (request/fallback counters + latency
 //    histogram) dumped as JSON by MetricsJson().
 //

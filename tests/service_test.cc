@@ -223,6 +223,33 @@ TEST(SanitizationServiceTest, BackpressureRejectsWhenQueueIsFull) {
   EXPECT_EQ(m.requests_rejected, static_cast<uint64_t>(rejected));
 }
 
+// A cold node LP solves on the worker that walks into it and queues
+// nothing of its own, so while one worker solves, the only slot of a
+// capacity-1 queue stays free for the next request.
+TEST(SanitizationServiceTest, ColdSolveLeavesTheQueueToRequests) {
+  auto service = MakeService(1, /*capacity=*/1);
+  RegionConfig config = AustinConfig();
+  config.granularity = 5;  // the cold root LP has n = 25 candidates
+  ASSERT_TRUE(service->RegisterRegion("austin", config).ok());
+  std::atomic<bool> first_done{false};
+  ASSERT_TRUE(service
+                  ->SubmitAsync({"austin", {30.2672, -97.7431}, 0.0},
+                                [&first_done](const SanitizeResult&) {
+                                  first_done.store(true);
+                                })
+                  .ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_FALSE(first_done.load()) << "the cold solve finished in 5 ms";
+  std::future<SanitizeResult> second =
+      service->SubmitFuture({"austin", {30.2700, -97.7400}, 0.0});
+  const SanitizeResult r = second.get();
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(InRegion(r.reported));
+  service->Drain();
+  EXPECT_TRUE(first_done.load());
+  EXPECT_EQ(service->metrics().Snapshot().requests_rejected, 0u);
+}
+
 TEST(SanitizationServiceTest, UnknownRegionFailsTheRequestNotTheService) {
   auto service = MakeService(2);
   auto future = service->SubmitFuture({"nowhere", {1.0, 2.0}, 0.0});

@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "base/parallel_for.h"
-
 namespace geopriv {
 namespace {
 
@@ -299,58 +297,6 @@ TEST(ThreadPoolTest, ConcurrentProducers) {
   for (auto& t : producers) t.join();
   pool.Shutdown();
   EXPECT_EQ(count.load(), 400);
-}
-
-TEST(ParallelChunksTest, RunsEveryChunkExactlyOnce) {
-  ThreadPool pool(4, 64);
-  constexpr int kChunks = 97;
-  std::vector<std::atomic<int>> hits(kChunks);
-  ParallelChunks(&pool, 8, kChunks,
-                 [&](int c) { hits[static_cast<size_t>(c)].fetch_add(1); });
-  for (int c = 0; c < kChunks; ++c) {
-    EXPECT_EQ(hits[static_cast<size_t>(c)].load(), 1) << "chunk " << c;
-  }
-  pool.Shutdown();
-}
-
-TEST(ParallelChunksTest, NullPoolRunsSeriallyInOrder) {
-  std::vector<int> order;
-  ParallelChunks(nullptr, 8, 10, [&](int c) { order.push_back(c); });
-  ASSERT_EQ(order.size(), 10u);
-  for (int c = 0; c < 10; ++c) EXPECT_EQ(order[static_cast<size_t>(c)], c);
-}
-
-TEST(ParallelChunksTest, SafeFromPoolWorker) {
-  // A nested ParallelChunks issued from one of the pool's own workers must
-  // not deadlock: helpers are recruited non-blockingly and the issuing
-  // worker claims whatever nobody picks up.
-  ThreadPool pool(2, 4);
-  std::atomic<int> inner_hits{0};
-  std::atomic<bool> done{false};
-  ASSERT_TRUE(pool.TrySubmit([&](int) {
-    ParallelChunks(&pool, 4, 16, [&](int) { inner_hits.fetch_add(1); });
-    done.store(true);
-  }));
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(inner_hits.load(), 16);
-  pool.Shutdown();
-}
-
-TEST(ParallelChunksTest, ShutDownPoolFallsBackToCaller) {
-  ThreadPool pool(2, 4);
-  pool.Shutdown();
-  std::atomic<int> hits{0};
-  ParallelChunks(&pool, 4, 8, [&](int) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 8);
-}
-
-TEST(ParallelChunksTest, EffectiveParallelismResolution) {
-  EXPECT_EQ(EffectiveParallelism(nullptr), 1);
-  ThreadPool pool(3, 8);
-  EXPECT_EQ(EffectiveParallelism(&pool), 4);  // workers + caller
-  pool.Shutdown();
 }
 
 }  // namespace
