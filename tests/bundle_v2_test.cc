@@ -5,9 +5,12 @@
 // bundle (no solved nodes), robustness against truncation at every
 // section boundary, bit flips in every section, version skew, wrong
 // magic, and hostile edits with recomputed checksums, and the
-// service-level LoadRegionFromBundle path, including its failures.
+// service-level LoadRegionFromBundle path, including its failures and
+// its cold-node solves.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +20,7 @@
 #include <future>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -798,6 +802,51 @@ TEST(ServiceBundleTest, FailedLoadReleasesTheId) {
   config.granularity = spec.granularity;
   EXPECT_TRUE((*service)->RegisterRegion("austin", config).ok());
   EXPECT_EQ((*service)->snapshot_epoch(), 1u);
+}
+
+// A region loaded from a client bundle solves each node on first touch,
+// on the worker that walks into it, and queues nothing of its own: while
+// one worker solves the cold root, the only slot of a capacity-1 queue
+// stays free for the next request.
+TEST(ServiceBundleTest, ColdNodeSolveLeavesTheQueueToRequests) {
+  RegionSpec spec;
+  spec.min_lat = 30.1927;
+  spec.min_lon = -97.8698;
+  spec.max_lat = 30.3723;
+  spec.max_lon = -97.6618;
+  spec.eps = 0.5;
+  spec.granularity = 5;  // the cold root LP has n = 25 candidates
+  spec.prior_granularity = 32;
+  const std::string path = TempPath("region_v2_service_cold.gpb");
+  auto written = WriteRegionBundle(ScratchSanitizer(1, spec), spec, path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  ASSERT_EQ(written->nodes, 0u);
+
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 1;
+  auto service = service::SanitizationService::Create(options);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->LoadRegionFromBundle("austin", path).ok());
+  std::atomic<bool> first_done{false};
+  ASSERT_TRUE((*service)
+                  ->SubmitAsync({"austin", {30.2672, -97.7431}, 0.0},
+                                [&first_done](const service::SanitizeResult&) {
+                                  first_done.store(true);
+                                })
+                  .ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_FALSE(first_done.load()) << "the cold solve finished in 5 ms";
+  std::future<service::SanitizeResult> second =
+      (*service)->SubmitFuture({"austin", {30.2700, -97.7400}, 0.0});
+  const service::SanitizeResult r = second.get();
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_FALSE(r.used_fallback);
+  (*service)->Drain();
+  EXPECT_TRUE(first_done.load());
+  EXPECT_EQ((*service)->metrics().Snapshot().requests_rejected, 0u);
+  EXPECT_GT((*service)->GetRegionInfo("austin")->msm.lp_solves, 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -681,6 +681,40 @@ TEST(LocationSanitizerTest, SanitizeOrStatusMatchesAndSurfacesLpLimits) {
   EXPECT_EQ(failed.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+// SetConstructionPool does nothing: every node LP of a cold walk solves
+// on the sanitizing thread, so a sanitizer handed a pool that is shut
+// down straight after Build serves, and serves the same reports, bit for
+// bit, as one built without a pool.
+TEST(LocationSanitizerTest, ConstructionPoolIsANoOp) {
+  const auto build = [](ThreadPool* pool) {
+    LocationSanitizer::Builder builder;
+    builder.SetRegionLatLon(30.1927, -97.8698, 30.3723, -97.6618)
+        .SetEpsilon(0.5)
+        .SetGranularity(4)
+        .SetSeed(13);
+    if (pool != nullptr) builder.SetConstructionPool(pool);
+    auto sanitizer = builder.Build();
+    EXPECT_TRUE(sanitizer.ok()) << sanitizer.status();
+    return std::move(sanitizer).value();
+  };
+  ThreadPool pool(2, 4);
+  LocationSanitizer with_pool = build(&pool);
+  pool.Shutdown();
+  LocationSanitizer without_pool = build(nullptr);
+  for (int i = 0; i < 40; ++i) {
+    const Point p{0.5 * (i % 9), 0.4 * (i % 13)};
+    const auto a = with_pool.SanitizeOrStatus(p);
+    const auto b = without_pool.SanitizeOrStatus(p);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_EQ(a->x, b->x) << i;
+    EXPECT_EQ(a->y, b->y) << i;
+  }
+  EXPECT_GT(with_pool.mechanism().stats().lp_solves, 0);
+  EXPECT_EQ(with_pool.mechanism().stats().lp_solves,
+            without_pool.mechanism().stats().lp_solves);
+}
+
 TEST(LocationSanitizerTest, CheckinPriorChangesBehavior) {
   std::vector<LatLon> history;
   for (int i = 0; i < 500; ++i) {
